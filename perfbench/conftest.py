@@ -1,0 +1,7 @@
+"""Put the package under test and the benchmark's modules on the path."""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
