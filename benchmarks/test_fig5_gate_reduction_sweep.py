@@ -24,14 +24,13 @@ def test_fig5_gate_reduction_sweep(run_once, scale, tech, record):
     def sweep():
         rows = []
         for knob in KNOBS:
-            reduction = GateReductionPolicy.from_knob(knob, tech) if knob else None
             result = route_gated(
                 case.sinks,
                 tech,
                 case.oracle,
                 die=case.die,
                 candidate_limit=CANDIDATE_LIMIT,
-                reduction=reduction,
+                reduction=GateReductionPolicy.from_knob(knob, tech),
             )
             rows.append(result)
         return rows

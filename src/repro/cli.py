@@ -443,9 +443,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             case.oracle,
             die=case.die,
             candidate_limit=limit,
-            reduction=(
-                GateReductionPolicy.from_knob(knob, tech) if knob > 0 else None
-            ),
+            reduction=GateReductionPolicy.from_knob(knob, tech),
             vectorize=not args.no_vectorize,
         )
         rows.append(

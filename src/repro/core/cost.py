@@ -30,6 +30,13 @@ feature is active:
   be governed by the nearest gated ancestor; the merged node is the
   best bottom-up estimate) and no controller term;
 * a buffered (non-maskable cell) edge contributes with weight 1.
+
+Each cost also carries batched hooks for the merger's vectorized
+screens (:mod:`repro.cts.dme`): ``batch_cost`` for the exact screen of
+uniform cell policies, and ``batch_lower_bound`` for the bound screen
+of any policy with per-lane decisions.  Both reproduce the scalar
+floats bit for bit; the scalar ``lower_bound`` stays their parity
+oracle and the path for ISAs wider than 63 instructions.
 """
 
 from __future__ import annotations
@@ -49,47 +56,56 @@ except ImportError:  # pragma: no cover - NumPy present in CI images
     _kernels = None
 
 
-def _edge_weight(decision: CellDecision, child: ClockNode, plan: MergePlan) -> Probability:
-    """Switching probability of the new clock edge above ``child``."""
+def _decision_weight(
+    decision: CellDecision,
+    child_probability: Probability,
+    merged_probability: Optional[Probability],
+) -> Probability:
+    """Switching probability of a new clock edge under ``decision``.
+
+    The probabilities may be floats or per-lane arrays.
+    """
     if decision.maskable:
-        return child.enable_probability
+        return child_probability
     if decision.cell is not None:
         return 1.0  # buffer: never masked
-    if plan.merged_probability is not None:
-        return plan.merged_probability
-    return 1.0
-
-
-def _decision_weight(
-    decision: CellDecision, child: ClockNode, merged_probability: Optional[Probability]
-) -> Probability:
-    """:func:`_edge_weight` without a plan (for cost lower bounds)."""
-    if decision.maskable:
-        return child.enable_probability
-    if decision.cell is not None:
-        return 1.0
     if merged_probability is not None:
         return merged_probability
     return 1.0
 
 
-def _uniform_screen_ready(merger: BottomUpMerger) -> bool:
-    """Can the batch hooks below cover *every* candidate lane exactly?
+def _edge_weight(decision: CellDecision, child: ClockNode, plan: MergePlan) -> Probability:
+    """Switching probability of the new clock edge above ``child``."""
+    return _decision_weight(decision, child.enable_probability, plan.merged_probability)
 
-    The ``batch_cost_ready`` protocol: the merger calls this once at
-    construction before enabling its exact kernel screen.  The hooks
-    need a constant cell decision (so no per-pair ``decide`` calls) and
-    -- when the cost reads the merged enable probability -- an oracle
-    whose activation signatures fit the ``int64`` signature column
-    (ISAs up to 63 instructions; wider ones stay on the scalar path).
+
+def _batchable(merger: BottomUpMerger) -> bool:
+    """Can the merger's candidate lanes be batched at all?
+
+    Needs the vectorized node arrays and -- when the cost or policy
+    reads the merged enable probability -- an oracle whose activation
+    signatures fit the ``int64`` signature column (ISAs up to 63
+    instructions; wider ones stay on the scalar path).
     """
-    if _kernels is None or merger.node_arrays is None:
-        return False
-    if merger.cell_policy.uniform_decision(merger.tech) is None:
+    if merger.node_arrays is None:
         return False
     if merger._needs_merged_probability and merger.oracle is not None:
         return merger._signatures_ok
     return True
+
+
+def _uniform_screen_ready(merger: BottomUpMerger) -> bool:
+    """Can the batch costs below cover *every* candidate lane exactly?
+
+    The ``batch_cost_ready`` protocol: the merger calls this once at
+    construction before enabling its exact kernel screen.  On top of
+    :func:`_batchable`, the batched split needs a constant cell
+    decision.
+    """
+    return (
+        _batchable(merger)
+        and merger.cell_policy.uniform_decision(merger.tech) is not None
+    )
 
 
 def _batch_merged_probability(merger, nid, others):
@@ -108,21 +124,83 @@ def _batch_merged_probability(merger, nid, others):
     return merger.oracle.batch_probabilities(np.bitwise_or(sigs[nid], sigs[others]))
 
 
-def _uniform_pair_weights(uniform, merger, na, others, merged_p):
-    """Batched :func:`_edge_weight` pair under a uniform decision.
+def _select(chosen, on_value, off_value):
+    """``on_value`` on the ``chosen`` lanes, ``off_value`` elsewhere.
 
-    Returns ``(w_a, w_b)`` -- scalars or per-lane arrays -- mirroring
-    the scalar weight rules: maskable edges switch with the child's own
-    enable probability, buffered edges always, ungated wires with the
-    merged probability when one is computed.
+    ``chosen`` is a boolean lane array, or ``True`` for a uniform
+    policy's constant mask (then ``on_value`` passes through as is).
     """
-    if uniform.maskable:
-        return na.enable_probability, merger.node_arrays.enable_p[others]
-    if uniform.cell is not None:
-        return 1.0, 1.0
-    if merged_p is not None:
-        return merged_p, merged_p
-    return 1.0, 1.0
+    if chosen is True:
+        return on_value
+    return np.where(chosen, on_value, off_value)
+
+
+def _bound_sides(merger, nid, others, distance):
+    """Per-lane inputs of the batched bounds over the ``(nid, other)`` plans.
+
+    Returns ``(merged_p, sides)``: the batched merged probability and,
+    for the a-side (``nid``) then the b-side (the candidates),
+    ``(cap, weight, lanes, star)`` -- the child's subtree cap, the new
+    edge's switching weight, the policy's ``(chosen, on, off)`` lane
+    decisions (:meth:`~repro.cts.dme.CellPolicy.lane_decisions`) and
+    the enable-star term ``(c |EN| + C_g) P_tr(EN)`` (0.0 on lanes
+    whose edge is not maskable, ``None`` when no lane is).  Every lane
+    holds exactly what :func:`_bound_decisions` gives the scalar bound;
+    adding a 0.0 star leaves the non-negative running total
+    bit-identical, so skipped scalar terms need no separate path.
+
+    ``None`` declines the batch to the scalar scan: the lanes are not
+    :func:`_batchable` or the policy has no per-lane form.
+    """
+    if not _batchable(merger):
+        return None
+    tech = merger.tech
+    c = tech.unit_wire_capacitance
+    gate_in = tech.masking_gate.input_cap
+    cp = merger.controller_point
+    policy = merger.cell_policy
+    arrays = merger.node_arrays
+    na = merger.tree.node(nid)
+    merged_p = _batch_merged_probability(merger, nid, others)
+    lanes_a = policy.lane_decisions(
+        na.enable_probability, na.subtree_cap, merged_p, distance, tech
+    )
+    if lanes_a is None:
+        return None
+    p_b = arrays.enable_p[others]
+    cap_b = arrays.cap[others]
+    lanes_b = policy.lane_decisions(p_b, cap_b, merged_p, distance, tech)
+    star_a = star_b = None
+    if lanes_a[1].maskable or lanes_a[2].maskable:
+        star_len = cp.manhattan_to(na.merging_segment.center())
+        star_a = (c * star_len + gate_in) * na.enable_transition_probability
+    if lanes_b[1].maskable or lanes_b[2].maskable:
+        star_len = _kernels.batch_star_length(
+            cp.x,
+            cp.y,
+            arrays.ulo[others],
+            arrays.uhi[others],
+            arrays.vlo[others],
+            arrays.vhi[others],
+        )
+        star_b = (c * star_len + gate_in) * arrays.enable_ptr[others]
+    sides = []
+    for cap, probability, lanes, star in (
+        (na.subtree_cap, na.enable_probability, lanes_a, star_a),
+        (cap_b, p_b, lanes_b, star_b),
+    ):
+        chosen, on, off = lanes
+        weight = _select(
+            chosen,
+            _decision_weight(on, probability, merged_p),
+            _decision_weight(off, probability, merged_p),
+        )
+        if star is not None:
+            star = _select(
+                chosen, star if on.maskable else 0.0, star if off.maskable else 0.0
+            )
+        sides.append((cap, weight, lanes, star))
+    return merged_p, sides
 
 
 def _bound_decisions(
@@ -185,7 +263,7 @@ def _eq3_lower_bound(
     total = 0.0
     weights = []
     for child, decision in ((na, decision_a), (nb, decision_b)):
-        weight = _decision_weight(decision, child, merged_p)
+        weight = _decision_weight(decision, child.enable_probability, merged_p)
         weights.append(weight)
         total += a_clk * child.subtree_cap * weight
         if decision.maskable:
@@ -199,49 +277,27 @@ def _eq3_batch_lower_bound(merger, nid, others, distance):
     """Batched :func:`_eq3_lower_bound` over a candidate id array.
 
     Mirrors the scalar bound's float chain term for term (same
-    association order, ``np.minimum`` for the rounding-free ``min``),
-    so every lane is bit-identical to the scalar call -- the pruning
-    decisions, and therefore every downstream greedy choice, cannot
-    differ between the vectorized and scalar paths.
-
-    Returns ``None`` (declining the batch, which falls back to the
-    scalar scan) whenever a per-pair quantity enters the bound: a
-    cell policy without a uniform decision, or a cost/policy needing
-    the merged enable probability (pair-dependent oracle lookups).
+    association order, ``np.minimum`` for the rounding-free ``min``)
+    over the per-lane decisions of :func:`_bound_sides`, so every lane
+    is bit-identical to the scalar call -- the pruning decisions, and
+    therefore every downstream greedy choice, cannot differ between
+    the vectorized and scalar paths.  ``None`` (the scalar scan) when
+    :func:`_bound_sides` declines.
     """
-    if _kernels is None or merger.node_arrays is None:
+    bound = _bound_sides(merger, nid, others, distance)
+    if bound is None:
         return None
-    if merger._needs_merged_probability:
-        return None
-    uniform = merger.cell_policy.uniform_decision(merger.tech)
-    if uniform is None:
-        return None
+    merged_p, sides = bound
     tech = merger.tech
     c = tech.unit_wire_capacitance
     a_clk = tech.clock_transitions_per_cycle
-    gate_in = tech.masking_gate.input_cap
-    cp = merger.controller_point
-    na = merger.tree.node(nid)
-    arrays = merger.node_arrays
-    maskable = uniform.maskable
 
-    w_a = na.enable_probability if maskable else 1.0
-    total = a_clk * na.subtree_cap * w_a
-    if maskable:
-        star_a = cp.manhattan_to(na.merging_segment.center())
-        total = total + (c * star_a + gate_in) * na.enable_transition_probability
-    w_b = arrays.enable_p[others] if maskable else 1.0
-    total = total + a_clk * arrays.cap[others] * w_b
-    if maskable:
-        star_b = _kernels.batch_star_length(
-            cp.x,
-            cp.y,
-            arrays.ulo[others],
-            arrays.uhi[others],
-            arrays.vlo[others],
-            arrays.vhi[others],
-        )
-        total = total + (c * star_b + gate_in) * arrays.enable_ptr[others]
+    total = 0.0
+    for cap, weight, _, star in sides:
+        total = total + a_clk * cap * weight
+        if star is not None:
+            total = total + star
+    (_, w_a, _, _), (_, w_b, _, _) = sides
     return total + a_clk * c * distance * np.minimum(w_a, w_b)
 
 
@@ -260,7 +316,8 @@ def _batch_sides(merger, nid, others, uniform, merged_p, swapped):
     cp = merger.controller_point
     arrays = merger.node_arrays
     na = merger.tree.node(nid)
-    w_nid, w_oth = _uniform_pair_weights(uniform, merger, na, others, merged_p)
+    w_nid = _decision_weight(uniform, na.enable_probability, merged_p)
+    w_oth = _decision_weight(uniform, arrays.enable_p[others], merged_p)
     star_nid = ptr_nid = star_oth = ptr_oth = None
     if uniform.maskable:
         star_nid = cp.manhattan_to(na.merging_segment.center())
@@ -351,8 +408,11 @@ def incremental_switched_capacitance_cost(
     signatures, so whole candidate sets resolve their merged
     probabilities in one vectorized call through the same memo the
     scalar path uses.  ``batch_cost`` / ``batch_lower_bound`` below
-    build on that; they engage only when :func:`_uniform_screen_ready`
-    holds (uniform cell decision, signatures fit ``int64``).
+    build on that.  ``batch_cost`` engages only when
+    :func:`_uniform_screen_ready` holds (uniform cell decision,
+    signatures fit ``int64``); ``batch_lower_bound`` also takes the
+    per-lane decisions of data-dependent policies such as gate
+    reduction (:func:`_bound_sides`).
     """
     tech = merger.tech
     c = tech.unit_wire_capacitance
@@ -400,7 +460,9 @@ def _incremental_lower_bound(
     total = 0.0
     weights = []
     for child, decision in ((na, decision_a), (nb, decision_b)):
-        weights.append(_decision_weight(decision, child, merged_p))
+        weights.append(
+            _decision_weight(decision, child.enable_probability, merged_p)
+        )
         if decision.cell is not None:
             pin_weight = pin_p if decision.maskable else 1.0
             total += a_clk * decision.cell.input_cap * pin_weight
@@ -450,49 +512,33 @@ def _incremental_batch_lower_bound(merger, nid, others, distance):
 
     Mirrors the scalar bound's float chain term for term (same
     association order, ``np.minimum`` for the rounding-free ``min``)
-    with the merged probabilities batched through activation
-    signatures, so every lane is bit-identical to the scalar call and
-    pruning decisions cannot differ between the paths.  Returns
-    ``None`` (falling back to the scalar scan) when the policy has no
-    uniform decision or signatures do not apply.
+    over the per-lane decisions and batched merged probabilities of
+    :func:`_bound_sides`, so every lane is bit-identical to the scalar
+    call and pruning decisions cannot differ between the paths.
+    ``None`` (the scalar scan) when :func:`_bound_sides` declines.
     """
-    if not _uniform_screen_ready(merger):
+    bound = _bound_sides(merger, nid, others, distance)
+    if bound is None:
         return None
+    merged_p, sides = bound
     tech = merger.tech
     c = tech.unit_wire_capacitance
     a_clk = tech.clock_transitions_per_cycle
-    gate_in = tech.masking_gate.input_cap
-    cp = merger.controller_point
-    uniform = merger.cell_policy.uniform_decision(tech)
-    arrays = merger.node_arrays
-    na = merger.tree.node(nid)
-    merged_p = _batch_merged_probability(merger, nid, others)
     pin_p = merged_p if merged_p is not None else 1.0
-    w_a, w_b = _uniform_pair_weights(uniform, merger, na, others, merged_p)
 
-    total = None
-    if uniform.cell is not None:
-        pin_weight = pin_p if uniform.maskable else 1.0
-        total = a_clk * uniform.cell.input_cap * pin_weight
-    if uniform.maskable:
-        star_a = cp.manhattan_to(na.merging_segment.center())
-        total = total + (c * star_a + gate_in) * na.enable_transition_probability
-    if uniform.cell is not None:
-        pin_weight = pin_p if uniform.maskable else 1.0
-        term = a_clk * uniform.cell.input_cap * pin_weight
-        total = term if total is None else total + term
-    if uniform.maskable:
-        star_b = _kernels.batch_star_length(
-            cp.x,
-            cp.y,
-            arrays.ulo[others],
-            arrays.uhi[others],
-            arrays.vlo[others],
-            arrays.vhi[others],
-        )
-        total = total + (c * star_b + gate_in) * arrays.enable_ptr[others]
-    term = a_clk * c * distance * np.minimum(w_a, w_b)
-    return term if total is None else total + term
+    def pin(decision):
+        if decision.cell is None:
+            return 0.0
+        pin_weight = pin_p if decision.maskable else 1.0
+        return a_clk * decision.cell.input_cap * pin_weight
+
+    total = 0.0
+    for _, _, (chosen, on, off), star in sides:
+        total = total + _select(chosen, pin(on), pin(off))
+        if star is not None:
+            total = total + star
+    (_, w_a, _, _), (_, w_b, _, _) = sides
+    return total + a_clk * c * distance * np.minimum(w_a, w_b)
 
 
 incremental_switched_capacitance_cost.lower_bound = _incremental_lower_bound

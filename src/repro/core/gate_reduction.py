@@ -30,7 +30,10 @@ Three application modes are provided:
   :class:`~repro.cts.dme.CellPolicy` -- decisions taken during
   bottom-up merging, using the merged node's activity as the parent
   estimate.  Cheaper (single pass) but rule 3 can cascade and strip
-  whole gate chains (e.g. every gate of an activity cluster); ablation.
+  whole gate chains (e.g. every gate of an activity cluster).  This is
+  the mode ``gated-cts route`` runs by default; its per-lane rules
+  (:meth:`GateReductionPolicy.lane_decisions`) let the merger batch
+  the candidate cost bounds.
 
 A scalar *knob* in [0, 1] scales all thresholds at once; sweeping it
 regenerates Fig. 5 ("gate reduction % vs switched capacitance/area").
@@ -40,6 +43,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
+
+import numpy as np
 
 from repro.check.errors import ContractError
 from repro.tech.parameters import GateModel
@@ -57,6 +62,8 @@ _FULL_KNOB_CAP_UNITS = 3.0
 _BASE_FORCE_CAP_RATIO = 10.0
 _FULL_KNOB_FORCE_CAP_RATIO = 100.0
 
+_NO_CELL = CellDecision(cell=None)
+
 
 @dataclass(frozen=True)
 class GateReductionPolicy(CellPolicy):
@@ -66,7 +73,7 @@ class GateReductionPolicy(CellPolicy):
     ----------
     activity_threshold:
         Rule 1: drop the gate when ``P(EN) >= activity_threshold``
-        (1.0 effectively disables the rule).
+        (1.0 disables the rule).
     switched_cap_threshold:
         Rule 2: drop the gate when the edge's switched capacitance
         (pF per cycle, clock activity factor included) is at or below
@@ -101,13 +108,17 @@ class GateReductionPolicy(CellPolicy):
     def from_knob(knob: float, tech: Technology) -> "GateReductionPolicy":
         """Map a scalar aggressiveness in [0, 1] onto the thresholds.
 
-        knob 0 removes no gates (the fully gated tree); knob 1 removes
-        aggressively.  The mapping is monotone: a larger knob's rules
-        dominate a smaller knob's, so the achieved reduction percentage
-        grows monotonically along the sweep.
+        knob 0 is the default policy, whose rules are all at their
+        disabling values: it keeps every gate, so it routes the fully
+        gated tree in every mode.  Knob 1 removes aggressively.  The
+        mapping is monotone: a larger knob's rules dominate a smaller
+        knob's, so the achieved reduction percentage grows
+        monotonically along the sweep.
         """
         if not 0.0 <= knob <= 1.0:
             raise ContractError("knob must lie in [0, 1]")
+        if knob == 0.0:
+            return GateReductionPolicy()
         gate_cap = tech.masking_gate.input_cap
         force = _BASE_FORCE_CAP_RATIO + knob * (
             _FULL_KNOB_FORCE_CAP_RATIO - _BASE_FORCE_CAP_RATIO
@@ -146,8 +157,8 @@ class GateReductionPolicy(CellPolicy):
             and exposed_cap >= self.force_cap_ratio * gate.input_cap
         ):
             return True
-        if enable_probability >= self.activity_threshold:
-            return False  # rule 1: never idle
+        if 1.0 > self.activity_threshold <= enable_probability:
+            return False  # rule 1: never idle (1.0 disables the rule)
         edge_switched_cap = (
             tech.clock_transitions_per_cycle * exposed_cap * enable_probability
         )
@@ -157,8 +168,32 @@ class GateReductionPolicy(CellPolicy):
             return False  # rule 3: the gate above masks as well
         return True
 
+    def keep_lanes(self, enable_probability, mask_probability, exposed_cap, tech):
+        """:meth:`should_keep` (force override honored) lane for lane.
+
+        Takes NumPy arrays or floats that broadcast together and
+        returns a boolean array.  Each rule is the scalar rule's
+        comparison on the same floats, so lane ``i`` equals the scalar
+        call on lane ``i``'s inputs, boundary equalities included.
+        """
+        drop = np.asarray(
+            mask_probability - enable_probability <= self.parent_delta_threshold
+        )  # rule 3
+        if self.activity_threshold < 1.0:
+            drop = drop | (enable_probability >= self.activity_threshold)  # rule 1
+        if self.switched_cap_threshold > 0.0:
+            edge_switched_cap = (
+                tech.clock_transitions_per_cycle * exposed_cap * enable_probability
+            )
+            drop = drop | (edge_switched_cap <= self.switched_cap_threshold)  # rule 2
+        keep = ~drop
+        if self.force_cap_ratio is not None:
+            limit = self.force_cap_ratio * tech.masking_gate.input_cap
+            keep = keep | (exposed_cap >= limit)
+        return keep
+
     # ------------------------------------------------------------------
-    # CellPolicy interface (merge-time mode, kept as an ablation)
+    # CellPolicy interface (merge-time mode, the CLI default)
     # ------------------------------------------------------------------
     def decide(
         self,
@@ -174,6 +209,16 @@ class GateReductionPolicy(CellPolicy):
         if self.should_keep(child.enable_probability, mask, exposed_cap, tech):
             return CellDecision(cell=tech.masking_gate, maskable=True)
         return CellDecision(cell=None)
+
+    def lane_decisions(
+        self, enable_probability, subtree_cap, merged_probability, distance, tech
+    ):
+        """Per-lane :meth:`decide`: the masking gate on the lanes
+        :meth:`keep_lanes` keeps, no cell on the others."""
+        exposed_cap = tech.wire_cap(distance / 2.0) + subtree_cap
+        mask = merged_probability if merged_probability is not None else 1.0
+        keep = self.keep_lanes(enable_probability, mask, exposed_cap, tech)
+        return keep, CellDecision(cell=tech.masking_gate, maskable=True), _NO_CELL
 
 
 def apply_gate_reduction(

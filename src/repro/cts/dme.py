@@ -52,8 +52,11 @@ or off; the tests assert this):
   ``batch_cost_orientable`` extend it to the canonical initialization
   scans, whose below-``nid`` lanes run through swapped sub-batches;
   declined runs batch their lower bounds through
-  ``batch_lower_bound`` instead.  Merged-pair enable probabilities are
-  batched through activation signatures
+  ``batch_lower_bound`` instead.  Those bounds read the cell policy's
+  per-lane decisions (:meth:`CellPolicy.lane_decisions`), so the
+  merge-time gate reduction of :mod:`repro.core.gate_reduction` -- the
+  CLI default -- batches its bounds too.  Merged-pair enable
+  probabilities are batched through activation signatures
   (:meth:`repro.activity.probability.ActivityOracle.batch_probabilities`),
   and ``candidate_limit`` index queries batch their ring distances
   through the same segment-distance kernel.  The kernels mirror the
@@ -143,14 +146,34 @@ class CellPolicy:
         """The constant decision this policy takes on *every* edge.
 
         Policies whose :meth:`decide` ignores the child, probability
-        and distance arguments return that constant here; the
-        vectorized cost kernels rely on it to evaluate whole candidate
-        batches without per-pair ``decide`` calls.  The default
-        ``None`` (for data-dependent policies such as merge-time gate
-        reduction) simply keeps those batches on the scalar path -- it
-        can never change a decision.
+        and distance arguments return that constant here; the exact
+        kernel screen needs it, because its batched zero-skew split
+        models one cell per edge side.  The default ``None`` (for
+        data-dependent policies such as merge-time gate reduction)
+        keeps those runs off the exact screen; their cost bounds still
+        batch through :meth:`lane_decisions`.
         """
         return None
+
+    def lane_decisions(
+        self, enable_probability, subtree_cap, merged_probability, distance, tech
+    ):
+        """Per-lane :meth:`decide` for one plan side of a candidate batch.
+
+        The child arrives as its ``enable_probability`` and
+        ``subtree_cap`` (floats or NumPy arrays), ``merged_probability``
+        (``None`` or an array) and ``distance`` (an array) per lane.
+        Returns ``(chosen, on, off)``: lanes where the boolean
+        ``chosen`` is set take decision ``on``, the others ``off``.  The
+        batched cost bounds build on it, and each lane must equal the
+        scalar :meth:`decide` exactly, or pruning could change.  The
+        default is :meth:`uniform_decision` as a constant mask; ``None``
+        (no uniform decision) keeps the bounds on the scalar path.
+        """
+        uniform = self.uniform_decision(tech)
+        if uniform is None:
+            return None
+        return True, uniform, uniform
 
 
 class NoCellPolicy(CellPolicy):

@@ -1,7 +1,11 @@
 """Unit tests for the gate-reduction rules (paper section 4.3)."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.activity import ActivityOracle, ActivityTables, InstructionStream
 from repro.activity.isa import InstructionSet
@@ -10,10 +14,12 @@ from repro.core.gate_reduction import (
     apply_gate_reduction,
     reduction_fraction,
 )
+from repro.bench.suite import load_benchmark
+from repro.core.flow import route_gated
 from repro.cts import BottomUpMerger, Sink
 from repro.cts.dme import GateEveryEdgePolicy
 from repro.geometry import Point
-from repro.tech import unit_technology
+from repro.tech import date98_technology, unit_technology
 
 
 def rng_oracle(num_modules, seed=0, usage=0.4, k=8):
@@ -97,13 +103,106 @@ class TestRules:
             GateReductionPolicy(force_cap_ratio=0.0)
 
 
+unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+cap = st.floats(min_value=0.0, max_value=500.0, allow_nan=False)
+
+
+@st.composite
+def rule_lanes(draw):
+    """A policy plus candidate lanes, some pinned to its rule boundaries.
+
+    Each threshold is either at its disabling value or copied from a
+    lane, so ``P == activity_threshold``, ``delta ==
+    parent_delta_threshold`` and ``switched cap == threshold`` hold
+    exactly on that lane; one lane sits exactly at the force limit.
+    """
+    tech = unit_technology()
+    n = draw(st.integers(min_value=1, max_value=12))
+    p = draw(st.lists(unit, min_size=n, max_size=n))
+    mask = draw(st.lists(unit, min_size=n, max_size=n))
+    exposed = draw(st.lists(cap, min_size=n, max_size=n))
+    lane = st.integers(min_value=0, max_value=n - 1)
+    force = draw(st.none() | st.floats(min_value=0.5, max_value=200.0))
+    if force is not None:
+        exposed[draw(lane)] = force * tech.masking_gate.input_cap
+    i, j, k = draw(lane), draw(lane), draw(lane)
+    policy = GateReductionPolicy(
+        activity_threshold=draw(st.sampled_from([1.0, p[i]])),
+        switched_cap_threshold=draw(
+            st.sampled_from(
+                [0.0, tech.clock_transitions_per_cycle * exposed[j] * p[j]]
+            )
+        ),
+        parent_delta_threshold=draw(st.sampled_from([-1.0, mask[k] - p[k]])),
+        force_cap_ratio=force,
+    )
+    return policy, np.array(p), np.array(mask), np.array(exposed)
+
+
+class TestLaneRules:
+    """The per-lane rules equal scalar ``should_keep`` lane for lane."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=rule_lanes())
+    def test_keep_lanes_match_should_keep(self, case):
+        policy, p, mask, exposed = case
+        tech = unit_technology()
+        got = policy.keep_lanes(p, mask, exposed, tech)
+        want = [policy.should_keep(*lane, tech) for lane in zip(p, mask, exposed)]
+        assert got.tolist() == want
+        # A scalar child against array lanes (the query side of a batch).
+        got = policy.keep_lanes(float(p[0]), mask, exposed, tech)
+        want = [
+            policy.should_keep(float(p[0]), *lane, tech)
+            for lane in zip(mask, exposed)
+        ]
+        assert got.tolist() == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        case=rule_lanes(),
+        distance=st.floats(min_value=0.0, max_value=1000.0, allow_nan=False),
+    )
+    def test_lane_decisions_match_decide(self, case, distance):
+        policy, p, mask, subtree_cap = case
+        tech = unit_technology()
+        distances = np.full(p.size, distance)
+        chosen, on, off = policy.lane_decisions(p, subtree_cap, mask, distances, tech)
+        for lane, (prob, merged, c) in enumerate(zip(p, mask, subtree_cap)):
+            child = SimpleNamespace(enable_probability=prob, subtree_cap=c)
+            want = policy.decide(child, merged, distance, tech)
+            assert (on if chosen[lane] else off) == want
+
+
 class TestKnob:
     def test_knob_zero_is_no_reduction(self):
         tech = unit_technology()
         policy = GateReductionPolicy.from_knob(0.0, tech)
+        assert policy == GateReductionPolicy()
         assert policy.activity_threshold == 1.0
         assert policy.switched_cap_threshold == 0.0
-        assert policy.parent_delta_threshold == 0.0
+        assert policy.parent_delta_threshold < 0.0
+        # Every rule is disabled, even on a never-idle edge whose
+        # parent masks no better (P(EN) = 1, zero delta, no exposure).
+        assert policy.should_keep(1.0, 1.0, 0.0, tech)
+
+    @pytest.mark.parametrize("mode", ["demote", "merge"])
+    def test_knob_zero_routes_the_gated_gate_count(self, mode):
+        tech = date98_technology()
+        case = load_benchmark("r1", scale=0.1)
+        common = dict(die=case.die, candidate_limit=16)
+        gated = route_gated(case.sinks, tech, case.oracle, **common)
+        reduced = route_gated(
+            case.sinks,
+            tech,
+            case.oracle,
+            reduction=GateReductionPolicy.from_knob(0.0, tech),
+            reduction_mode=mode,
+            **common,
+        )
+        assert gated.gate_count == 2 * len(case.sinks) - 2
+        assert reduced.gate_count == gated.gate_count
+        assert reduced.gate_reduction == 0.0
 
     def test_knob_bounds(self):
         tech = unit_technology()

@@ -17,11 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.activity import ActivityOracle, ActivityTables, InstructionStream
-from repro.activity.isa import paper_example_isa, paper_example_stream
+from repro.activity.isa import InstructionSet, paper_example_isa, paper_example_stream
 from repro.core.cost import (
     incremental_switched_capacitance_cost,
     switched_capacitance_cost,
 )
+from repro.core.gate_reduction import GateReductionPolicy
 from repro.cts import BottomUpMerger, Sink
 from repro.cts.dme import (
     BufferEveryEdgePolicy,
@@ -355,6 +356,36 @@ def run_config(sinks, vectorize, **kwargs):
     return merger, merger.merge_trace, tree.total_wirelength()
 
 
+def run_spied(sinks, **kwargs):
+    """Run a vectorized merger, recording whether each batched bound
+    call answered (``True``) or declined to the scalar scan."""
+    merger = BottomUpMerger(sinks, unit_technology(), vectorize=True, **kwargs)
+    answered = []
+    bound = merger._batch_bound
+
+    def spy(*args):
+        out = bound(*args)
+        answered.append(out is not None)
+        return out
+
+    merger._batch_bound = spy
+    merger.run()
+    return merger, answered
+
+
+def wide_isa_oracle(num_instructions, seed=0):
+    """An oracle over ``NUM_MODULES`` modules whose ISA has
+    ``num_instructions`` instructions (the signature width)."""
+    rng = np.random.default_rng(seed)
+    usage = [
+        set(np.nonzero(rng.random(NUM_MODULES) < 0.4)[0].tolist()) or {i % NUM_MODULES}
+        for i in range(num_instructions)
+    ]
+    isa = InstructionSet.from_usage_lists(usage, num_modules=NUM_MODULES)
+    ids = rng.integers(0, num_instructions, 2000)
+    return ActivityOracle(ActivityTables.from_stream(isa, InstructionStream(ids=ids)))
+
+
 class TestVectorizeTraceParity:
     """``vectorize`` never changes a greedy decision, in any mode."""
 
@@ -422,24 +453,55 @@ class TestVectorizeTraceParity:
         assert vec.stats.kernel_batches > 0
         assert trace_v == trace_s and wl_v == wl_s
 
-    def test_eq3_batch_bound_declines_for_data_dependent_policy(self, oracle):
-        from repro.core.gate_reduction import GateReductionPolicy
-
+    @pytest.mark.parametrize("limit", [None, 6])
+    @pytest.mark.parametrize(
+        "cost",
+        [incremental_switched_capacitance_cost, switched_capacitance_cost],
+        ids=["incremental", "eq3"],
+    )
+    @pytest.mark.parametrize("knob", [0.5, 1.0])
+    def test_gate_reduction_bound_screen(self, oracle, knob, cost, limit):
+        # The section-4.3 policy has no uniform decision, so the exact
+        # screen stays off; its per-lane rules feed the batched bounds,
+        # which must answer every call and prune exactly like the
+        # scalar bounds.
         sinks = make_sinks(30, seed=35)
-        policy = GateReductionPolicy.from_knob(0.5, unit_technology())
         common = dict(
-            cost=switched_capacitance_cost,
-            cell_policy=policy,
+            cost=cost,
+            cell_policy=GateReductionPolicy.from_knob(knob, unit_technology()),
             oracle=oracle,
             controller_point=Point(0.0, 0.0),
+            candidate_limit=limit,
         )
-        vec, trace_v, wl_v = run_config(sinks, True, **common)
-        _, trace_s, wl_s = run_config(sinks, False, **common)
-        # batch_cost_ready rejects the policy (no uniform decision) and
-        # the bound hook declines per-call, so the scalar bound scan
-        # runs and traces still match.
+        vec, answered = run_spied(sinks, **common)
+        scalar, trace_s, wl_s = run_config(sinks, False, **common)
         assert vec._bound_screen and not vec._exact_screen
-        assert trace_v == trace_s and wl_v == wl_s
+        assert answered and all(answered)
+        assert vec.merge_trace == trace_s
+        assert vec.tree.total_wirelength() == wl_s
+        assert vec.stats.plans_computed == scalar.stats.plans_computed
+        assert vec.stats.pruned_probes == scalar.stats.pruned_probes
+        assert vec.stats.pruned_probes > 0
+
+    def test_gate_reduction_wide_isa_declines_to_scalar(self):
+        # Activation signatures of a 64-instruction ISA overflow the
+        # int64 column: the batched bound must decline on every call
+        # and the scalar bound scan must reproduce the scalar run.
+        wide = wide_isa_oracle(num_instructions=64)
+        sinks = make_sinks(24, seed=39)
+        common = dict(
+            cost=incremental_switched_capacitance_cost,
+            cell_policy=GateReductionPolicy.from_knob(0.5, unit_technology()),
+            oracle=wide,
+            controller_point=Point(0.0, 0.0),
+        )
+        vec, answered = run_spied(sinks, **common)
+        scalar, trace_s, wl_s = run_config(sinks, False, **common)
+        assert not vec._signatures_ok
+        assert answered and not any(answered)
+        assert vec.merge_trace == trace_s
+        assert vec.tree.total_wirelength() == wl_s
+        assert vec.stats.pruned_probes == scalar.stats.pruned_probes
 
     def test_skew_bound_disables_exact_screen(self):
         sinks = make_sinks(32, seed=36)
