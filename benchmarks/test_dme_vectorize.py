@@ -15,6 +15,7 @@ Outputs:
   speedups, and the kernel counters per size.
 """
 
+import functools
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ import pytest
 from repro.analysis.report import format_table
 from repro.bench.cpu_model import CpuModel, CpuModelConfig
 from repro.bench.sinks import SinkGenerator
+from repro.core import gated_routing
 from repro.core.flow import route_gated
 from repro.cts import BottomUpMerger
 from repro.obs import Tracer, load_json, set_tracer, write_bench_json, write_json
@@ -160,14 +162,23 @@ def _flow_seconds(sinks, die, tech, n, vectorize):
 
     Times the ``flow.route_gated`` root span -- the end-to-end number
     the topology.gated bottleneck used to dominate.  A fresh oracle per
-    mode keeps the LRU memos from leaking work across modes.
+    mode keeps the LRU memos from leaking work across modes.  The flow
+    has one engine; the scalar side is the merger-level reference,
+    swapped in under the gated tree builder.
     """
     cpu = CpuModel(CpuModelConfig(num_modules=n, num_instructions=24, seed=3))
     oracle = cpu.oracle(1500)
     tracer = Tracer(enabled=True)
     previous = set_tracer(tracer)
     try:
-        result = route_gated(sinks, tech, oracle, die=die, vectorize=vectorize)
+        with pytest.MonkeyPatch.context() as patch:
+            if not vectorize:
+                patch.setattr(
+                    gated_routing,
+                    "BottomUpMerger",
+                    functools.partial(BottomUpMerger, vectorize=False),
+                )
+            result = route_gated(sinks, tech, oracle, die=die)
     finally:
         set_tracer(previous)
     (root,) = [s for s in tracer.spans if s.name == "flow.route_gated"]

@@ -16,8 +16,7 @@ part of each fault's contract:
   invariant violations);
 * ``expect="ok"``      -> CLI exit code 0 and a clean ``--audit`` run.
 
-``tests/test_check_faults.py`` runs the whole matrix x vectorize
-on/off.
+``tests/test_check_faults.py`` runs the whole matrix.
 """
 
 from __future__ import annotations
@@ -305,7 +304,7 @@ def apply_fault(fault: Fault, paths: Dict[str, str], directory: "str | Path") ->
 # ----------------------------------------------------------------------
 # driving the CLI
 # ----------------------------------------------------------------------
-def cli_argv(fault: Fault, paths: Dict[str, str], vectorize: bool = True) -> List[str]:
+def cli_argv(fault: Fault, paths: Dict[str, str]) -> List[str]:
     """The CLI invocation that consumes the fault's input kind."""
     if fault.kind == "tree":
         return ["audit", "--tree", paths["tree"]]
@@ -317,8 +316,6 @@ def cli_argv(fault: Fault, paths: Dict[str, str], vectorize: bool = True) -> Lis
         "--method", "gated",
         "--audit",
     ]
-    if not vectorize:
-        argv.append("--no-vectorize")
     workdir = str(Path(paths[fault.kind]).parent)
     argv.extend(flag.replace("{dir}", workdir) for flag in fault.extra_argv)
     return argv
@@ -328,13 +325,12 @@ def run_fault(
     fault: Fault,
     baseline: Dict[str, str],
     directory: "str | Path",
-    vectorize: bool = True,
 ) -> FaultOutcome:
     """Drive one fault through the CLI and judge the outcome."""
     from repro.cli import main
 
     paths = apply_fault(fault, baseline, directory)
-    argv = cli_argv(fault, paths, vectorize=vectorize)
+    argv = cli_argv(fault, paths)
     outcome = FaultOutcome(fault=fault, argv=tuple(argv))
     try:
         outcome.exit_code = main(argv)
@@ -369,20 +365,15 @@ def run_fault(
 def run_fault_matrix(
     workdir: "str | Path",
     faults: Optional[Sequence[Fault]] = None,
-    vectorize_modes: Sequence[bool] = (True, False),
 ) -> List[FaultOutcome]:
-    """Run every fault x vectorize mode; return all outcomes.
+    """Run every fault; return all outcomes.
 
     A clean harness run returns outcomes with ``outcome.ok`` True for
     every entry; callers (tests, CI) assert exactly that.
     """
     base = Path(workdir)
     baseline = write_baseline(str(base / "baseline"))
-    outcomes: List[FaultOutcome] = []
-    for fault in faults if faults is not None else FAULTS:
-        for vectorize in vectorize_modes:
-            tag = "%s-%s" % (fault.name, "vec" if vectorize else "scalar")
-            outcomes.append(
-                run_fault(fault, baseline, base / tag, vectorize=vectorize)
-            )
-    return outcomes
+    return [
+        run_fault(fault, baseline, base / fault.name)
+        for fault in (faults if faults is not None else FAULTS)
+    ]

@@ -188,12 +188,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="resize gates instead of snaking wire on unbalanced merges",
     )
     parser.add_argument(
-        "--no-vectorize",
-        action="store_true",
-        help="disable the NumPy kernel screens of the greedy merger "
-        "(decision-neutral; results are byte-identical either way)",
-    )
-    parser.add_argument(
         "--audit",
         action="store_true",
         help="re-verify every network invariant after routing "
@@ -277,7 +271,6 @@ def _cmd_route(args: argparse.Namespace) -> int:
             tech,
             candidate_limit=_limit(args),
             skew_bound=args.skew_bound,
-            vectorize=not args.no_vectorize,
             audit=args.audit,
         )
     else:
@@ -298,7 +291,6 @@ def _cmd_route(args: argparse.Namespace) -> int:
                 num_controllers=args.controllers,
                 candidate_limit=_limit(args),
                 skew_bound=args.skew_bound,
-                vectorize=not args.no_vectorize,
                 audit=args.audit,
                 refine=refine,
             )
@@ -313,7 +305,6 @@ def _cmd_route(args: argparse.Namespace) -> int:
                 candidate_limit=_limit(args),
                 gate_sizing=GateSizingPolicy() if args.gate_sizing else None,
                 skew_bound=args.skew_bound,
-                vectorize=not args.no_vectorize,
                 audit=args.audit,
                 refine=refine,
             )
@@ -395,16 +386,14 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         args.benchmark, scale=args.scale, target_activity=args.activity, seed=args.seed
     )
     limit = _limit(args)
-    vectorize = not args.no_vectorize
     results = [
-        route_buffered(case.sinks, tech, candidate_limit=limit, vectorize=vectorize),
+        route_buffered(case.sinks, tech, candidate_limit=limit),
         route_gated(
             case.sinks,
             tech,
             case.oracle,
             die=case.die,
             candidate_limit=limit,
-            vectorize=vectorize,
         ),
         route_gated(
             case.sinks,
@@ -413,7 +402,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             die=case.die,
             candidate_limit=limit,
             reduction=GateReductionPolicy.from_knob(args.knob, tech),
-            vectorize=vectorize,
         ),
     ]
     rows = [ComparisonRow.from_result(args.benchmark, r) for r in results]
@@ -444,7 +432,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             die=case.die,
             candidate_limit=limit,
             reduction=GateReductionPolicy.from_knob(knob, tech),
-            vectorize=not args.no_vectorize,
         )
         rows.append(
             [
@@ -498,7 +485,6 @@ def _cmd_audit(args: argparse.Namespace) -> int:
             die=case.die,
             candidate_limit=_limit(args),
             skew_bound=args.skew_bound,
-            vectorize=not args.no_vectorize,
         )
         tree = result.tree
         routing = result.routing

@@ -43,17 +43,12 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
+import numpy as np
+
+from repro.cts import kernels as _kernels
 from repro.cts.dme import BottomUpMerger, CellDecision, MergePlan
 from repro.cts.topology import ClockNode
 from repro.quantity import LengthUm, Probability, SwitchedCap
-
-try:  # NumPy backs the optional batched bound; scalar costs work without it.
-    import numpy as np
-
-    from repro.cts import kernels as _kernels
-except ImportError:  # pragma: no cover - NumPy present in CI images
-    np = None
-    _kernels = None
 
 
 def _decision_weight(
@@ -375,7 +370,6 @@ switched_capacitance_cost.lower_bound = _eq3_lower_bound
 switched_capacitance_cost.batch_lower_bound = _eq3_batch_lower_bound
 switched_capacitance_cost.batch_cost = _eq3_batch_cost
 switched_capacitance_cost.batch_cost_needs_split = True
-switched_capacitance_cost.batch_cost_orientable = True
 switched_capacitance_cost.batch_cost_ready = _uniform_screen_ready
 
 
@@ -547,5 +541,4 @@ incremental_switched_capacitance_cost.batch_lower_bound = (
 )
 incremental_switched_capacitance_cost.batch_cost = _incremental_batch_cost
 incremental_switched_capacitance_cost.batch_cost_needs_split = True
-incremental_switched_capacitance_cost.batch_cost_orientable = True
 incremental_switched_capacitance_cost.batch_cost_ready = _uniform_screen_ready

@@ -211,10 +211,8 @@ def _maybe_audit(result: ClockRoutingResult, audit: bool, skew_bound: float):
 def route_buffered(
     sinks: Sequence[Sink],
     tech: Technology,
-    die: Optional[Die] = None,
     candidate_limit: Optional[int] = None,
     skew_bound: float = 0.0,
-    vectorize: bool = True,
     audit: bool = False,
 ) -> ClockRoutingResult:
     """The paper's baseline: buffered nearest-neighbour zero-skew tree.
@@ -232,7 +230,6 @@ def route_buffered(
             tech,
             candidate_limit=candidate_limit,
             skew_bound=skew_bound,
-            vectorize=vectorize,
         )
         result = _measure("buffered", tree, tech, routing=None)
         return _maybe_audit(result, audit, skew_bound)
@@ -250,7 +247,6 @@ def route_gated(
     candidate_limit: Optional[int] = None,
     gate_sizing=None,
     skew_bound: float = 0.0,
-    vectorize: bool = True,
     audit: bool = False,
     refine: Optional[RefineConfig] = None,
 ) -> ClockRoutingResult:
@@ -301,7 +297,6 @@ def route_gated(
             candidate_limit=candidate_limit,
             gate_sizing=gate_sizing,
             skew_bound=skew_bound,
-            vectorize=vectorize,
         )
         if reduction is not None and policy is None:
             # apply_gate_reduction opens its own "gating.reduce" span.
@@ -331,7 +326,6 @@ def route_sharded(
     num_controllers: int = 1,
     candidate_limit: Optional[int] = None,
     skew_bound: float = 0.0,
-    vectorize: bool = True,
     audit: bool = False,
     refine: Optional[RefineConfig] = None,
 ) -> ClockRoutingResult:
@@ -403,7 +397,6 @@ def route_sharded(
                 cell_policy=cell_policy,
                 candidate_limit=candidate_limit,
                 skew_bound=skew_bound,
-                vectorize=vectorize,
             )
         for shard in shards:
             registry.histogram("shard.route_seconds").observe(shard.seconds)

@@ -39,7 +39,6 @@ def build_gated_tree(
     objective: str = "incremental",
     gate_sizing=None,
     skew_bound: float = 0.0,
-    vectorize: bool = True,
 ) -> ClockTree:
     """Build a zero-skew gated clock tree minimizing switched capacitance.
 
@@ -72,9 +71,6 @@ def build_gated_tree(
     gate_sizing:
         Optional :class:`repro.core.gate_sizing.GateSizingPolicy`;
         resizes cells instead of snaking wire on unbalanced merges.
-    vectorize:
-        Toggles the NumPy kernel screens of the greedy engine
-        (decision-neutral; see :class:`~repro.cts.dme.BottomUpMerger`).
     """
     from repro.core.cost import (
         incremental_switched_capacitance_cost,
@@ -98,6 +94,5 @@ def build_gated_tree(
             candidate_limit=candidate_limit,
             cell_sizer=gate_sizing,
             skew_bound=skew_bound,
-            vectorize=vectorize,
         )
         return merger.run()

@@ -23,15 +23,12 @@ def build_buffered_tree(
     oracle: Optional[ActivityOracle] = None,
     candidate_limit: Optional[int] = None,
     skew_bound: float = 0.0,
-    vectorize: bool = True,
 ) -> ClockTree:
     """Nearest-neighbour zero-skew tree with a buffer on every edge.
 
     ``oracle`` is optional and only annotates nodes with activity
     statistics (handy for side-by-side reporting); it does not affect
-    the construction, since buffers ignore activity.  ``vectorize``
-    toggles the NumPy kernel screens (decision-neutral; see
-    :class:`~repro.cts.dme.BottomUpMerger`).
+    the construction, since buffers ignore activity.
     """
     with phase_span("topology.buffered", n=len(sinks)):
         merger = BottomUpMerger(
@@ -42,6 +39,5 @@ def build_buffered_tree(
             oracle=oracle,
             candidate_limit=candidate_limit,
             skew_bound=skew_bound,
-            vectorize=vectorize,
         )
         return merger.run()

@@ -22,9 +22,12 @@ O(N^2) cost evaluations.  An optional ``candidate_limit`` restricts
 each node's candidates to its k geometrically nearest neighbours --
 the speed/quality trade-off explored in the ablation bench.
 
-Four switchable optimizations accelerate the loop without changing a
-single greedy decision (``merge_trace`` is byte-identical with them on
-or off; the tests assert this):
+Four optimization layers accelerate the loop without changing a
+single greedy decision.  Each has a :class:`BottomUpMerger` constructor
+switch, but the switches are parity oracles, not configuration: only
+tests and benches turn a layer off, to check that ``merge_trace`` stays
+byte-identical (no routing function or CLI flag forwards them).  The
+layers are:
 
 * a **merge-plan cache** memoizes :meth:`BottomUpMerger.plan` per
   *ordered* active pair (ordered, so a hit returns the exact floats an
@@ -41,17 +44,16 @@ or off; the tests assert this):
   Bounds are shrunk by a relative margin far larger than accumulated
   float rounding, so a true winner can never be pruned by an
   ulp-level tie;
-* **vectorized kernel screens** (``vectorize=True``, the default)
-  batch-evaluate whole candidate sets with the NumPy kernels of
-  :mod:`repro.cts.kernels`.  Costs exposing ``batch_cost`` (all the
-  built-in objectives) get an *exact* screen: one kernel call ranks
-  every candidate by ``(cost, id)`` and only the winner is planned
-  scalar.  The optional ``batch_cost_ready`` hook lets a cost decline
+* **vectorized kernel screens** batch-evaluate whole candidate sets
+  with the NumPy kernels of :mod:`repro.cts.kernels`.  Costs exposing
+  ``batch_cost`` (all the built-in objectives) get an *exact* screen:
+  one kernel call ranks every candidate by ``(cost, id)`` and only the
+  winner is planned scalar.  The optional ``batch_cost_ready`` hook lets a cost decline
   the exact screen per run (e.g. the switched-capacitance costs
-  without a uniform cell decision), and costs declaring
-  ``batch_cost_orientable`` extend it to the canonical initialization
-  scans, whose below-``nid`` lanes run through swapped sub-batches;
-  declined runs batch their lower bounds through
+  without a uniform cell decision).  Split-dependent batch costs take a
+  ``swapped`` flag, so the screen also covers the canonical
+  initialization scans, whose below-``nid`` lanes run through swapped
+  sub-batches; declined runs batch their lower bounds through
   ``batch_lower_bound`` instead.  Those bounds read the cell policy's
   per-lane decisions (:meth:`CellPolicy.lane_decisions`), so the
   merge-time gate reduction of :mod:`repro.core.gate_reduction` -- the
@@ -90,6 +92,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.activity.probability import ActivityOracle
 from repro.check.errors import InputError, InternalInvariantError
+from repro.cts import kernels as _kernels
 from repro.cts.candidate_index import SegmentGridIndex
 from repro.obs import (
     get_registry,
@@ -102,12 +105,6 @@ from repro.cts.topology import ClockNode, ClockTree, Sink
 from repro.geometry.point import Point
 from repro.quantity import LengthUm, Probability
 from repro.tech.parameters import GateModel, Technology
-
-try:  # NumPy is a declared dependency, but the scalar engine must stay
-    # importable without it; vectorize silently degrades to scalar.
-    from repro.cts import kernels as _kernels
-except ImportError:  # pragma: no cover - NumPy present in CI images
-    _kernels = None
 
 
 @dataclass(frozen=True)
@@ -285,10 +282,6 @@ class MergerStats:
             "cost_probes": self.cost_probes,
         }
 
-    def as_dict(self) -> Dict[str, int]:
-        """Alias of :meth:`snapshot` (kept for existing callers)."""
-        return self.snapshot()
-
 
 PairCost = Callable[["MergePlan", "BottomUpMerger"], float]
 
@@ -318,9 +311,11 @@ def _nearest_neighbor_batch_cost(merger, nid, others, distance, split=None):
 
     ``batch_cost`` hooks receive the querying node, the candidate id
     array, their batched segment distances and (only when the cost sets
-    ``batch_cost_needs_split``) a :class:`repro.cts.kernels.BatchSplit`.
-    They must return per-lane costs bit-identical to ``cost(plan(...))``
-    and symmetric under pair orientation.
+    ``batch_cost_needs_split``) a :class:`repro.cts.kernels.BatchSplit`
+    plus a ``swapped`` flag.  They must return per-lane costs
+    bit-identical to ``cost(plan(...))``: ``plan(nid, other)`` lanes, or
+    ``plan(other, nid)`` lanes when ``swapped`` is true (the split then
+    arrives already computed in that orientation).
     """
     return distance
 
@@ -367,14 +362,13 @@ class BottomUpMerger:
         swap cells after the split, which invalidates the pin terms of
         cost lower bounds, so it disables lower-bound pruning.
     plan_cache / cost_pruning / spatial_index / vectorize:
-        Debug flags for the four optimization layers (all on by
-        default).  Turning any of them off changes no greedy decision,
-        only how much work the engine does; the determinism tests and
-        the scaling benches run both settings and compare traces.
-        ``vectorize`` batch-evaluates candidate screens with the NumPy
-        kernels of :mod:`repro.cts.kernels` for costs exposing batch
-        hooks; everything the kernels do not model falls back to the
-        scalar path automatically.
+        Parity-oracle switches for the four optimization layers (all
+        on by default).  Turning one off changes no greedy decision,
+        only how much work the engine does.  Only the determinism
+        tests and the benches set them, to compare traces against the
+        plain scalar engine; no routing function or CLI flag forwards
+        them.  ``vectorize=False`` drops the NumPy kernel screens of
+        :mod:`repro.cts.kernels`, leaving the scalar reference merger.
     """
 
     def __init__(
@@ -446,7 +440,7 @@ class BottomUpMerger:
             self._index = SegmentGridIndex(self._index_cell_size(sinks))
             for nid in self._active:
                 self._index.insert(nid, self.tree.node(nid).merging_segment)
-        self._vectorize = bool(vectorize) and _kernels is not None
+        self._vectorize = bool(vectorize)
         self.node_arrays = None
         """Struct-of-arrays mirror (:class:`repro.cts.kernels.NodeArrays`)
         of active-node state, ``None`` when ``vectorize`` is off.  Batch
@@ -455,12 +449,6 @@ class BottomUpMerger:
         self._batch_cost = getattr(cost, "batch_cost", None)
         self._batch_cost_needs_split = bool(
             getattr(cost, "batch_cost_needs_split", False)
-        )
-        # Orientable batch costs accept ``swapped=True`` and evaluate
-        # the (other, nid) orientation bit-exactly, so the canonical
-        # initialization scans can exact-screen them too.
-        self._batch_cost_orientable = bool(
-            getattr(cost, "batch_cost_orientable", False)
         )
         self._batch_bound = getattr(cost, "batch_lower_bound", None)
         uniform = None
@@ -825,12 +813,7 @@ class BottomUpMerger:
             cell_a=cell,
             cell_b=cell,
         )
-        if swapped:
-            costs = self._batch_cost(
-                self, nid, ids, distance, split, swapped=True
-            )
-        else:
-            costs = self._batch_cost(self, nid, ids, distance, split)
+        costs = self._batch_cost(self, nid, ids, distance, split, swapped=swapped)
         lanes = _kernels.out_of_range_lanes(split)
         if lanes:
             costs = costs.copy()
@@ -912,17 +895,11 @@ class BottomUpMerger:
         With an exact kernel screen one batch ranks every candidate by
         ``(cost, id)`` -- the same comparison the scalar loop applies,
         over the same bit-identical floats -- and only the winner gets
-        a scalar plan.  Split-dependent batch costs join the canonical
-        scans only when they declare ``batch_cost_orientable``: the
-        screen then evaluates candidates below ``nid`` through swapped
-        sub-batches (see :meth:`_screen_costs`); non-orientable costs
-        keep the pruned scalar canonical scan.
+        a scalar plan.  In canonical scans, split-dependent costs
+        evaluate candidates below ``nid`` through swapped sub-batches
+        (see :meth:`_screen_costs`).
         """
-        if self._exact_screen and not (
-            canonical
-            and self._batch_cost_needs_split
-            and not self._batch_cost_orientable
-        ):
+        if self._exact_screen:
             ids = self._kernel_candidates(nid)
             if ids.size == 0:
                 self._best.pop(nid, None)
@@ -964,10 +941,7 @@ class BottomUpMerger:
             for nid in sorted(self._active):
                 self._recompute_best(nid)
             return
-        if self._prune or (
-            self._exact_screen
-            and (not self._batch_cost_needs_split or self._batch_cost_orientable)
-        ):
+        if self._prune or self._exact_screen:
             # Same outcome as the all-pairs loop below (canonical pair
             # orientation keeps every cost float identical), but the
             # lower-bound pruning -- or the exact kernel screen --

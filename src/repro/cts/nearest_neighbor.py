@@ -30,7 +30,6 @@ def build_nearest_neighbor_tree(
     oracle: Optional[ActivityOracle] = None,
     candidate_limit: Optional[int] = None,
     skew_bound: float = 0.0,
-    vectorize: bool = True,
 ) -> ClockTree:
     """Zero-skew tree with nearest-neighbour merge order.
 
@@ -38,8 +37,7 @@ def build_nearest_neighbor_tree(
     :class:`~repro.cts.dme.BufferEveryEdgePolicy` for the paper's
     buffered baseline or :class:`~repro.cts.dme.GateEveryEdgePolicy`
     for a gated tree whose *topology* ignores activity (useful in
-    ablations).  ``vectorize`` toggles the NumPy kernel screens
-    (decision-neutral; see :class:`~repro.cts.dme.BottomUpMerger`).
+    ablations).
     """
     with phase_span("topology.nearest_neighbor", n=len(sinks)):
         merger = BottomUpMerger(
@@ -50,6 +48,5 @@ def build_nearest_neighbor_tree(
             oracle=oracle,
             candidate_limit=candidate_limit,
             skew_bound=skew_bound,
-            vectorize=vectorize,
         )
         return merger.run()

@@ -158,7 +158,6 @@ def _route_one_shard(
     cell_policy: Optional[CellPolicy],
     candidate_limit: Optional[int],
     skew_bound: float,
-    vectorize: bool,
     objective: str,
 ) -> ShardRoute:
     """Route one shard's gated subtree with the existing merger."""
@@ -176,7 +175,6 @@ def _route_one_shard(
         candidate_limit=candidate_limit,
         objective=objective,
         skew_bound=skew_bound,
-        vectorize=vectorize,
     )
     # The merge trace and stats live on the merger, which
     # build_gated_tree does not return; recover the trace from the
@@ -245,7 +243,6 @@ def _pool_route_shard(payload: Tuple) -> ShardRoute:
         cell_policy,
         candidate_limit,
         skew_bound,
-        vectorize,
         objective,
     ) = payload
     registry = MetricsRegistry()
@@ -260,7 +257,6 @@ def _pool_route_shard(payload: Tuple) -> ShardRoute:
             cell_policy,
             candidate_limit,
             skew_bound,
-            vectorize,
             objective,
         )
     finally:
@@ -279,7 +275,6 @@ def route_shards(
     cell_policy: Optional[CellPolicy] = None,
     candidate_limit: Optional[int] = None,
     skew_bound: float = 0.0,
-    vectorize: bool = True,
     objective: str = "incremental",
 ) -> List[ShardRoute]:
     """Route every shard of ``plan``; returns shards in index order.
@@ -313,7 +308,6 @@ def route_shards(
                             cell_policy,
                             candidate_limit,
                             skew_bound,
-                            vectorize,
                             objective,
                         )
                     )
@@ -335,7 +329,6 @@ def route_shards(
             cell_policy,
             candidate_limit,
             skew_bound,
-            vectorize,
             objective,
         )
         for index, members in enumerate(plan.shards)

@@ -68,19 +68,15 @@ def _git_revision() -> Optional[str]:
 
 def environment_fingerprint() -> Dict[str, Any]:
     """Everything about the host/toolchain a comparison should know."""
-    try:
-        import numpy
+    import numpy
 
-        numpy_version = numpy.__version__
-    except ImportError:  # the library degrades to scalar paths
-        numpy_version = None
     return {
         "git_revision": _git_revision(),
         "python": "%d.%d.%d" % sys.version_info[:3],
         "implementation": platform.python_implementation(),
         "platform": sys.platform,
         "machine": platform.machine(),
-        "numpy": numpy_version,
+        "numpy": numpy.__version__,
         "env": {name: os.environ.get(name) for name in _FINGERPRINT_ENV},
     }
 

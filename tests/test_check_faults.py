@@ -20,10 +20,14 @@ _FILE_FAULTS = [f for f in FAULTS if f.kind in ("sinks", "isa", "trace")]
 _TREE_FAULTS = [f for f in FAULTS if f.kind == "tree"]
 
 
-@pytest.mark.parametrize("vectorize", [True, False], ids=["vec", "scalar"])
+@pytest.mark.parametrize("merger", ["vec", "scalar"])
 @pytest.mark.parametrize("fault", _FILE_FAULTS, ids=lambda f: f.name)
-def test_route_fault(fault, vectorize, baseline, tmp_path, capsys):
-    outcome = run_fault(fault, baseline, tmp_path, vectorize=vectorize)
+def test_route_fault(fault, merger, baseline, tmp_path, capsys, request):
+    if merger == "scalar":
+        # The CLI routes through the kernel-screened merger only; the
+        # scalar reference merger is reached through the test seam.
+        request.getfixturevalue("scalar_merger")
+    outcome = run_fault(fault, baseline, tmp_path)
     assert outcome.ok, (outcome.problems, outcome.unhandled)
     err = capsys.readouterr().err
     if fault.expect == "error":

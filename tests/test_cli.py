@@ -20,6 +20,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["route", "--benchmark", "bogus"])
 
+    @pytest.mark.parametrize("command", ["route", "compare", "sweep", "audit"])
+    def test_rejects_no_vectorize(self, command):
+        # One routing engine: the scalar merger is a test oracle only.
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--no-vectorize"])
+        assert exc.value.code == 2
+
 
 class TestCommands:
     def test_route_buffered(self, capsys):

@@ -7,6 +7,7 @@ from repro.cts import Sink, build_buffered_tree
 from repro.cts.dme import GateEveryEdgePolicy
 from repro.cts.nearest_neighbor import build_nearest_neighbor_tree
 from repro.geometry import Point
+from repro.obs import MetricsRegistry, set_registry
 from repro.tech import unit_technology
 
 
@@ -66,25 +67,35 @@ class TestNearestNeighborTree:
 
 
 class TestVectorizeFlag:
-    """Both builders accept ``vectorize`` and produce identical trees."""
+    """Both builders produce the scalar reference merger's trees."""
 
     @pytest.mark.parametrize("limit", [None, 4])
-    def test_nearest_neighbor_vectorize_parity(self, limit):
+    def test_nearest_neighbor_vectorize_parity(self, limit, request):
         sinks = rng_sinks(24, seed=7)
         tech = unit_technology()
-        fast = build_nearest_neighbor_tree(
-            sinks, tech, candidate_limit=limit, vectorize=True
-        )
-        plain = build_nearest_neighbor_tree(
-            sinks, tech, candidate_limit=limit, vectorize=False
-        )
+        fast = build_nearest_neighbor_tree(sinks, tech, candidate_limit=limit)
+        request.getfixturevalue("scalar_merger")
+        plain = build_nearest_neighbor_tree(sinks, tech, candidate_limit=limit)
         assert fast.total_wirelength() == plain.total_wirelength()  # exact
         assert fast.skew() == plain.skew()
 
-    def test_buffered_vectorize_parity(self):
+    def test_buffered_vectorize_parity(self, request):
         sinks = rng_sinks(24, seed=8)
         tech = unit_technology()
-        fast = build_buffered_tree(sinks, tech, vectorize=True)
-        plain = build_buffered_tree(sinks, tech, vectorize=False)
+        fast = build_buffered_tree(sinks, tech)
+        request.getfixturevalue("scalar_merger")
+        plain = build_buffered_tree(sinks, tech)
         assert fast.total_wirelength() == plain.total_wirelength()
         assert fast.skew() == plain.skew()
+
+    def test_scalar_merger_fixture_runs_no_kernels(self, scalar_merger):
+        # Guards the seam the parity tests rely on: under the fixture a
+        # builder must never reach the kernel screens.
+        registry = MetricsRegistry()
+        previous = set_registry(registry)
+        try:
+            build_buffered_tree(rng_sinks(24, seed=9), unit_technology())
+        finally:
+            set_registry(previous)
+        assert registry.counter("dme.plans_computed").value > 0
+        assert registry.counter("dme.kernel_batches").value == 0

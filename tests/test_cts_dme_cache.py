@@ -187,13 +187,13 @@ class TestStatsAccounting:
         assert len(trace) == n - 1
         assert merger.stats.heap_pops >= n - 1
 
-    def test_as_dict_round_trip(self, oracle):
+    def test_snapshot_round_trip(self, oracle):
         merger, _, _ = run_config(
             make_sinks(16, seed=24),
             oracle=oracle,
             cost=incremental_switched_capacitance_cost,
         )
-        d = merger.stats.as_dict()
+        d = merger.stats.snapshot()
         assert d["plans_computed"] == merger.stats.plans_computed
         assert d["cost_probes"] == merger.stats.cost_probes
         assert set(d) >= {

@@ -69,18 +69,18 @@ class TestGoldenValues:
         assert 76.05 < 107.04 < 110.91
 
 
+@pytest.mark.usefixtures("scalar_merger")
 class TestVectorizeParity:
     """The NumPy kernel screens reproduce the pins bit-for-bit.
 
-    The class above runs with the default ``vectorize=True``; these
-    runs disable it and must land on the *same* constants -- so a
-    kernel/scalar divergence trips the golden pins from either side.
+    The class above runs the kernel-screened merger; these runs swap in
+    the scalar reference merger and must land on the *same* constants
+    -- so a kernel/scalar divergence trips the golden pins from either
+    side.
     """
 
     def test_buffered_scalar_path_matches_pin(self, case, tech):
-        result = route_buffered(
-            case.sinks, tech, candidate_limit=LIMIT, vectorize=False
-        )
+        result = route_buffered(case.sinks, tech, candidate_limit=LIMIT)
         assert result.switched_cap.total == pytest.approx(107.03052704972016, rel=1e-9)
         assert result.wirelength == pytest.approx(241169.05338345797, rel=1e-9)
 
@@ -91,7 +91,6 @@ class TestVectorizeParity:
             case.oracle,
             die=case.die,
             candidate_limit=LIMIT,
-            vectorize=False,
         )
         assert result.switched_cap.total == pytest.approx(110.90293651513682, rel=1e-9)
         assert result.wirelength == pytest.approx(300316.80312397203, rel=1e-9)

@@ -186,9 +186,9 @@ class TestPublishedMetrics:
         assert exported["dme.plan_cache_hits"]["value"] == 2
         assert exported["dme.cost_probes"]["value"] == 6
 
-    def test_snapshot_equals_as_dict_and_feeds_report(self):
+    def test_snapshot_feeds_report(self):
         stats = MergerStats(plans_computed=10, pruned_probes=5)
-        assert stats.snapshot() == stats.as_dict()
+        assert stats.snapshot()["cost_probes"] == 15
         table = format_merger_stats({"cfg": stats})
         assert "cfg" in table and "10" in table
 
