@@ -8,6 +8,12 @@ it must *strictly* improve on at least ``IMPROVED_FLOOR`` of the five
 benchmarks.  Every refined network must also pass the full audit with
 exact zero skew.
 
+Each row also records its real scale, the refiner's ``reembeds``
+counter (accepted tree moves that were re-embedded) and the wall time
+of the refinement pass alone: the minimum of ``REFINE_REPEATS``
+:func:`~repro.cts.refine_tree` runs over the greedy tree.  The payload
+carries the host fingerprint and CPU count the times were taken on.
+
 The move budget comes from ``REPRO_REFINE_BENCH_MOVES`` (default 200,
 the CLI default) so the committed numbers can be regenerated at a
 larger budget out-of-band::
@@ -20,6 +26,7 @@ at the repo root (CI floor-checked).
 """
 
 import os
+import time
 from pathlib import Path
 
 import pytest
@@ -27,9 +34,10 @@ import pytest
 from repro.analysis.report import format_table
 from repro.bench.suite import load_benchmark
 from repro.check.auditor import audit_network
+from repro.core.controller import ControllerLayout, Die
 from repro.core.flow import route_gated
-from repro.cts import RefineConfig
-from repro.obs import write_bench_json
+from repro.cts import RefineConfig, refine_tree
+from repro.obs import environment_fingerprint, write_bench_json
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -45,6 +53,21 @@ CANDIDATE_LIMIT = 16
 #: On at least this many of the five benchmarks the refined tree must
 #: switch strictly less capacitance than the greedy one.
 IMPROVED_FLOOR = 3
+
+#: The refine wall time of a row is the minimum over this many runs.
+REFINE_REPEATS = 3
+
+
+def _time_refine(greedy, case, tech, config):
+    """Min-of-``REFINE_REPEATS`` wall time of the pass, and its result."""
+    die = case.die or Die.bounding([s.location for s in case.sinks])
+    layout = ControllerLayout.centralized(die)
+    times = []
+    for _ in range(REFINE_REPEATS):
+        start = time.perf_counter()
+        _, _, result = refine_tree(greedy.tree, tech, case.oracle, layout, config)
+        times.append(time.perf_counter() - start)
+    return min(times), result
 
 
 @pytest.mark.benchmark(group="refine")
@@ -62,19 +85,22 @@ def test_refine_vs_greedy(run_once, scale, tech, record):
                 die=case.die,
                 candidate_limit=CANDIDATE_LIMIT,
             )
+            config = RefineConfig(moves=MOVES, seed=SEED)
             refined = route_gated(
                 case.sinks,
                 tech,
                 case.oracle,
                 die=case.die,
                 candidate_limit=CANDIDATE_LIMIT,
-                refine=RefineConfig(moves=MOVES, seed=SEED),
+                refine=config,
             )
+            refine_s, result = _time_refine(greedy, case, tech, config)
             report = audit_network(refined.tree, routing=refined.routing)
             assert report.ok, report.summary()
             rows.append(
                 {
                     "bench": bench,
+                    "scale": scale,
                     "sinks": case.num_sinks,
                     "moves": MOVES,
                     "seed": SEED,
@@ -86,6 +112,8 @@ def test_refine_vs_greedy(run_once, scale, tech, record):
                     "gates_refined": refined.gate_count,
                     "skew_refined": refined.skew,
                     "audit_findings": len(report.findings),
+                    "reembeds": result.reembeds,
+                    "refine_s": refine_s,
                 }
             )
         return rows
@@ -102,6 +130,9 @@ def test_refine_vs_greedy(run_once, scale, tech, record):
         "scale": scale,
         "improved_floor": IMPROVED_FLOOR,
         "improved": improved,
+        "refine_repeats": REFINE_REPEATS,
+        "cpu_count": os.cpu_count(),
+        "environment": environment_fingerprint(),
         "rows": rows,
     }
     write_bench_json(ROOT / "BENCH_refine.json", "refine", payload)
@@ -109,7 +140,16 @@ def test_refine_vs_greedy(run_once, scale, tech, record):
     record(
         "refine",
         format_table(
-            ["bench", "sinks", "W greedy (pF)", "W refined (pF)", "impr %", "gates"],
+            [
+                "bench",
+                "sinks",
+                "W greedy (pF)",
+                "W refined (pF)",
+                "impr %",
+                "gates",
+                "reembeds",
+                "refine s",
+            ],
             [
                 [
                     r["bench"],
@@ -118,11 +158,14 @@ def test_refine_vs_greedy(run_once, scale, tech, record):
                     r["switched_cap_refined"],
                     r["improvement_pct"],
                     "%d -> %d" % (r["gates_greedy"], r["gates_refined"]),
+                    r["reembeds"],
+                    r["refine_s"],
                 ]
                 for r in rows
             ],
-            title="Annealing refinement vs greedy merge (%d moves, seed %d)"
-            % (MOVES, SEED),
+            title="Annealing refinement vs greedy merge "
+            "(%d moves, seed %d, scale %g, refine s = min of %d)"
+            % (MOVES, SEED, scale, REFINE_REPEATS),
         ),
     )
 

@@ -17,7 +17,7 @@ classes and keeps what lowers the total switched capacitance
   with its own ``P(EN)`` or falls back to inheriting the net above.
 * **Controller reassignment** -- move one gate's enable route to a
   different controller.  Pure star-cost arithmetic; mainly repairs
-  partition-ownership drift after reembedding moves gate pins.
+  partition-ownership drift after re-placement moves gate pins.
 
 Scoring is two-tier, cheapest first (the escalation pattern of the
 routing surveys): a *screen* recomputes Eq. 3 terms only over the
@@ -25,11 +25,28 @@ affected node set -- the root path whose zero-skew splits the move
 invalidates (repaired in place with :func:`zero_skew_split` /
 :func:`merge_regions`, exactly the bottom-up construction), plus the
 unmasked regions whose effective enable probability the move flips.
-Only *accepted* moves pay for the full fixed-topology
-:func:`~repro.cts.reembed.reembed` pass and an exact whole-network
-re-measurement.  A keep-best snapshot (``ClockTree.clone``) makes the
-pass monotone from the caller's perspective: the returned tree is the
-best exactly-measured state ever visited, never worse than the input.
+An *accepted* move then pays only for what it changed:
+
+* **Re-placement of the dirty set.**  The top-down placement of
+  :func:`~repro.cts.reembed.reembed` restarts at the root but descends
+  only into nodes on the repaired path and nodes whose placement moved.
+  The flows hand over trees that are bitwise fixed points of
+  ``reembed``, and the path repair is its bottom-up formula, so the
+  result is the tree a full ``reembed`` would produce, field for field.
+  The whole-tree :meth:`~repro.cts.topology.ClockTree.validate_embedding`
+  still runs on every accepted tree move.
+* **A per-node term cache.**  Each node's clock term and gate star term
+  are cached; an accept refreshes the screen's affected set plus the
+  gates below re-placed nodes (their pins moved), or the one gate a
+  reassignment moved.  The cache re-sums in the order of the exact
+  whole-network measurement, so the running cost is the same float.
+
+``RefineResult.reembeds`` counts the accepted tree moves, each of
+which is re-embedded this way (the counter's value equals the number
+of whole-tree ``reembed`` passes the same run would need).  A
+keep-best snapshot (``ClockTree.clone``) makes the pass monotone from
+the caller's perspective: the returned tree is the best exactly-measured
+state ever visited, never worse than the input.
 
 Determinism: all randomness flows from one ``numpy`` generator seeded
 by :attr:`RefineConfig.seed`; the cooling schedule is geometric in the
@@ -48,7 +65,6 @@ import numpy as np
 from repro.activity.probability import ActivityOracle
 from repro.check.errors import InputError, ReproError
 from repro.cts.merge import Tap, merge_regions, zero_skew_split
-from repro.cts.reembed import reembed
 from repro.cts.topology import ClockNode, ClockTree
 from repro.obs import get_registry, get_tracer
 from repro.tech.parameters import Technology
@@ -145,6 +161,7 @@ class RefineResult:
     nni_accepted: int = 0
     gate_accepted: int = 0
     reassign_accepted: int = 0
+    #: Accepted tree moves, each re-embedded over its dirty set.
     reembeds: int = 0
     initial_cost: float = 0.0
     final_cost: float = 0.0
@@ -214,15 +231,33 @@ class AnnealingRefiner:
             n.id for n in tree.internal_nodes() if n.id != root and n.parent is not None
         ]
         self._edge_ids = [n.id for n in tree.nodes() if n.id != root and n.parent is not None]
+        #: Per-node Eq. 3 terms by node id (star term ``None`` where
+        #: the edge carries no gate); filled when the anneal starts.
+        self._clock_terms: List[float] = [0.0] * len(tree)
+        self._star_terms: List[Optional[float]] = [None] * len(tree)
 
     # ------------------------------------------------------------------
-    # exact cost accounting
+    # Eq. 3 per-node terms: the screen, the cache and the exact oracle
     # ------------------------------------------------------------------
-    def _star_cost(self) -> float:
-        """Exact ``W(S)`` under the current placements and assignment."""
-        return sum(self._star_term(node) for node in self.tree.gates())
+    def _clock_term(self, node: ClockNode) -> float:
+        """``W(T)`` share of one node: its edge plus its attached cap.
 
-    def _star_term(self, node: ClockNode) -> float:
+        The per-edge formula of
+        :func:`repro.core.switched_cap.clock_tree_switched_cap`, with the
+        same multiplication order, so cached terms re-sum to its float.
+        """
+        a_clk = self.tech.clock_transitions_per_cycle
+        attached = self._attached_cap(self.tree, node.id)
+        if node.id == self.tree.root_id:
+            return a_clk * attached
+        eff = self._effective_probability(node)
+        cap = self.tech.unit_wire_capacitance * node.edge_length + attached
+        return a_clk * eff * cap
+
+    def _star_term(self, node: ClockNode) -> Optional[float]:
+        """``W(S)`` share of the gate above ``node`` (``None`` if ungated)."""
+        if not node.has_gate or node.id == self.tree.root_id:
+            return None
         c = self.tech.unit_wire_capacitance
         gate_in = self.tech.masking_gate.input_cap
         pin = self._gate_location(self.tree, node)
@@ -235,7 +270,30 @@ class AnnealingRefiner:
         return (c * length + gate_in) * node.enable_transition_probability
 
     def _exact_cost(self) -> float:
-        return self._clock_tree_cap(self.tree, self.tech) + self._star_cost()
+        """Whole-network ``W(T) + W(S)``; the oracle the cache must equal."""
+        star = sum(self._star_term(node) for node in self.tree.gates())
+        return self._clock_tree_cap(self.tree, self.tech) + star
+
+    def _refresh(self, ids: Iterable[int]) -> None:
+        """Recompute the cached terms of the given nodes."""
+        for nid in ids:
+            node = self.tree.node(nid)
+            self._clock_terms[nid] = self._clock_term(node)
+            self._star_terms[nid] = self._star_term(node)
+
+    def _cached_cost(self) -> float:
+        """Re-sum the term cache in :meth:`_exact_cost`'s order.
+
+        Root term, then edges by node id, then gate star terms by id:
+        the summation order of ``clock_tree_switched_cap`` and of the
+        star sum, so the result is the same float as the exact
+        re-measurement whenever every cached term is current.
+        """
+        clock = self._clock_terms[self.tree.root_id]
+        for nid in self._edge_ids:
+            clock += self._clock_terms[nid]
+        stars = (self._star_terms[nid] for nid in self._edge_ids)
+        return clock + sum(star for star in stars if star is not None)
 
     # ------------------------------------------------------------------
     # incremental screen: affected sets and local Eq. 3 terms
@@ -286,28 +344,18 @@ class AnnealingRefiner:
     def _local_cost(self, ids: Set[int]) -> float:
         """Eq. 3 terms of the given nodes only (clock + star shares).
 
-        Same per-edge formula as
-        :func:`repro.core.switched_cap.clock_tree_switched_cap` plus the
-        star terms of gated members; deltas of two evaluations over one
-        id set are exact whenever the set covers everything the move
-        changed -- placements excepted, which the post-accept reembed
-        and exact re-measurement settle.
+        Deltas of two evaluations over one id set are exact whenever
+        the set covers everything the move changed -- placements
+        excepted: the screen scores gate pins at their pre-move
+        placements, and an accepted move re-places before re-measuring.
         """
-        c = self.tech.unit_wire_capacitance
-        a_clk = self.tech.clock_transitions_per_cycle
-        root = self.tree.root_id
         total = 0.0
         for nid in sorted(ids):
             node = self.tree.node(nid)
-            if nid == root:
-                total += a_clk * self._attached_cap(self.tree, nid)
-                continue
-            eff = self._effective_probability(node)
-            total += a_clk * eff * (
-                c * node.edge_length + self._attached_cap(self.tree, nid)
-            )
-            if node.has_gate:
-                total += self._star_term(node)
+            total += self._clock_term(node)
+            star = self._star_term(node)
+            if star is not None:
+                total += star
         return total
 
     # ------------------------------------------------------------------
@@ -335,7 +383,8 @@ class AnnealingRefiner:
         children's *current* merging segments and presented caps, so the
         path's edge lengths, segments and delays are exact for the
         mutated topology.  Placements are left stale -- the screen does
-        not need them, and an accepted move reembeds the whole tree.
+        not need them, and an accepted move re-places what moved
+        (:meth:`_replace`).
         """
         tech = self.tech
         nid: Optional[int] = start
@@ -387,8 +436,56 @@ class AnnealingRefiner:
             nid = node.parent
         self.tree.root.sink_delay_min = self.tree.root.sink_delay
 
+    def _replace(self, path: List[int]) -> List[int]:
+        """Re-place the nodes an accepted move moved; return them.
+
+        The top-down pass of :func:`repro.cts.reembed.reembed`, entered
+        only where a placement can change: nodes on the repaired
+        ``path`` (new merging segments) and nodes whose parent's
+        placement moved them.  Everything else already sits where a
+        full pass would put it, because the tree is a fixed point of
+        ``reembed`` before the move and off the path nothing changed.
+        """
+        tree = self.tree
+        on_path = set(path)
+        root = tree.root
+        root.location = root.merging_segment.center()
+        placed = [root.id]
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            for child_id in node.children:
+                child = tree.node(child_id)
+                location = child.merging_segment.nearest_point_to(node.location)
+                if child_id in on_path or location != child.location:
+                    child.location = location
+                    placed.append(child_id)
+                    stack.append(child)
+        return placed
+
+    def _commit(self, snapshot, assignment_undo, path) -> float:
+        """Settle an accepted move; return the exact network cost.
+
+        Tree moves re-place what moved, re-validate the whole
+        embedding, and refresh the cached terms of the screen's
+        affected set (the snapshot's keys) plus the gates hanging below
+        re-placed nodes, whose pins moved.  A reassignment refreshes
+        its one gate.  Either way the cache re-sums to the float an
+        exact whole-network re-measurement would give.
+        """
+        if snapshot is None:
+            self._refresh((assignment_undo[0],))
+            return self._cached_cost()
+        stale = set(snapshot)
+        for nid in self._replace(path):
+            stale.update(self.tree.node(nid).children)
+        self.tree.validate_embedding()
+        self.result.reembeds += 1
+        self._refresh(stale)
+        return self._cached_cost()
+
     # ------------------------------------------------------------------
-    # move proposals: each returns (delta, undo) or None if infeasible
+    # move proposals: each returns (delta, undo, kind, path) or None
     # ------------------------------------------------------------------
     def _propose_nni(self):
         """Swap a random child of a random internal node with its
@@ -411,9 +508,8 @@ class AnnealingRefiner:
         moved_id = pivot.children[slot]
         kept_id = pivot.children[1 - slot]
 
-        affected = self._affected(
-            self._path_ids(pivot_id), (moved_id, kept_id, sibling_id)
-        )
+        path = self._path_ids(pivot_id)
+        affected = self._affected(path, (moved_id, kept_id, sibling_id))
         before = self._local_cost(affected)
         snapshot = self._snapshot(affected)
 
@@ -444,7 +540,7 @@ class AnnealingRefiner:
             self._restore(snapshot)
             return None
         delta = self._local_cost(affected) - before
-        return delta, snapshot, None, "nni"
+        return delta, snapshot, None, "nni", path
 
     def _propose_gate_toggle(self):
         """Insert a masking gate on a bare edge, or remove one."""
@@ -453,7 +549,8 @@ class AnnealingRefiner:
         if node.edge_cell is not None and not node.edge_maskable:
             return None  # buffers (e.g. demoted gates) are off-limits
         assert node.parent is not None
-        affected = self._affected(self._path_ids(node.parent), (edge_id,))
+        path = self._path_ids(node.parent)
+        affected = self._affected(path, (edge_id,))
         before = self._local_cost(affected)
         snapshot = self._snapshot(affected)
         old_assignment = self.assignment.get(edge_id, _NO_ASSIGNMENT)
@@ -476,13 +573,13 @@ class AnnealingRefiner:
             self._undo(None, (edge_id, old_assignment))
             return None
         delta = self._local_cost(affected) - before
-        return delta, snapshot, (edge_id, old_assignment), "gate"
+        return delta, snapshot, (edge_id, old_assignment), "gate", path
 
     def _propose_reassign(self):
         """Move one gate's enable route to a different controller.
 
         Exact by construction (no tree state changes), so acceptance
-        skips the reembed/re-measure escalation entirely.
+        only refreshes the one gate's cached star term.
         """
         if self.layout.count < 2:
             return None
@@ -503,7 +600,7 @@ class AnnealingRefiner:
         delta = c * (new_len - old_len) * node.enable_transition_probability
         old_assignment = self.assignment.get(node.id, _NO_ASSIGNMENT)
         self.assignment[node.id] = target
-        return delta, None, (node.id, old_assignment), "reassign"
+        return delta, None, (node.id, old_assignment), "reassign", None
 
     # ------------------------------------------------------------------
     # the annealing loop
@@ -559,7 +656,8 @@ class AnnealingRefiner:
         with tracer.span(
             "refine.anneal", n=len(self.tree), moves=config.moves, seed=config.seed
         ) as span:
-            current = self._exact_cost()
+            self._refresh([self.tree.root_id, *self._edge_ids])
+            current = self._cached_cost()
             result.initial_cost = current
             best = current
             for k in range(config.moves):
@@ -571,7 +669,7 @@ class AnnealingRefiner:
                     result.moves_infeasible += 1
                     tracer.progress(k + 1, config.moves)
                     continue
-                delta, snapshot, assignment_undo, kind = proposal
+                delta, snapshot, assignment_undo, kind, path = proposal
                 if not self._accept(delta, self._temperature(k, result.initial_cost)):
                     self._undo(snapshot, assignment_undo)
                     result.moves_rejected += 1
@@ -584,14 +682,7 @@ class AnnealingRefiner:
                     result.gate_accepted += 1
                 else:
                     result.reassign_accepted += 1
-                if snapshot is not None:
-                    # Tree moves escalate: full fixed-topology reembed,
-                    # then an exact whole-network re-measurement.
-                    reembed(self.tree)
-                    result.reembeds += 1
-                    current = self._exact_cost()
-                else:
-                    current += delta
+                current = self._commit(snapshot, assignment_undo, path)
                 if current < best:
                     best = current
                     self._best_tree = self.tree.clone()

@@ -5,6 +5,8 @@ import functools
 import pytest
 
 from repro.cts.dme import BottomUpMerger
+from repro.cts.reembed import reembed
+from repro.cts.refine import _SNAPSHOT_FIELDS
 
 
 @pytest.fixture
@@ -23,3 +25,26 @@ def scalar_merger(monkeypatch):
         "repro.cts.nearest_neighbor",
     ):
         monkeypatch.setattr(module + ".BottomUpMerger", scalar)
+
+
+def _reembed_drift(tree):
+    """``(node id, field)`` pairs a full ``reembed`` would change.
+
+    Compares a re-embedded clone with ``tree`` on every field the
+    refinement pass snapshots, with ``==`` (no tolerance); an empty
+    list means ``tree`` is a bitwise fixed point of ``reembed``.
+    """
+    twin = tree.clone()
+    reembed(twin)
+    return [
+        (node.id, field)
+        for node, other in zip(tree.nodes(), twin.nodes())
+        for field in _SNAPSHOT_FIELDS
+        if getattr(node, field) != getattr(other, field)
+    ]
+
+
+@pytest.fixture
+def reembed_drift():
+    """The :func:`_reembed_drift` checker, for fixed-point assertions."""
+    return _reembed_drift

@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.bench.suite import load_benchmark
+from repro.core.flow import route_gated
+from repro.core.gate_reduction import GateReductionPolicy
 from repro.cts import BottomUpMerger, Sink
 from repro.cts.dme import GateEveryEdgePolicy
 from repro.cts.reembed import reembed
 from repro.geometry import Point
-from repro.tech import unit_technology
+from repro.tech import date98_technology, unit_technology
 
 
 def rng_sinks(n, seed=0, span=100.0):
@@ -39,6 +42,32 @@ class TestNoOpReembed:
         tree = build()
         reembed(tree)
         assert tree.skew() <= 1e-9 * max(tree.phase_delay(), 1.0)
+
+
+class TestFlowTreesAreFixedPoints:
+    """The trees the flows hand to refinement are *bitwise* fixed points.
+
+    The refiner's incremental accept re-places only the nodes a move
+    moved and trusts everything else to sit exactly where a full
+    ``reembed`` would put it; this is the invariant that makes it exact.
+    """
+
+    @pytest.mark.parametrize("candidate_limit", [None, 16])
+    @pytest.mark.parametrize("mode", [None, "merge", "demote", "remove"])
+    def test_reembed_changes_no_field(self, mode, candidate_limit, reembed_drift):
+        tech = date98_technology()
+        case = load_benchmark("r1", scale=0.2)
+        reduction = None if mode is None else GateReductionPolicy.from_knob(0.5, tech)
+        tree = route_gated(
+            case.sinks,
+            tech,
+            case.oracle,
+            die=case.die,
+            reduction=reduction,
+            reduction_mode=mode or "merge",
+            candidate_limit=candidate_limit,
+        ).tree
+        assert reembed_drift(tree) == []
 
 
 class TestReembedAfterEdits:

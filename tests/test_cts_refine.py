@@ -7,8 +7,10 @@ import pytest
 from repro.bench.suite import load_benchmark
 from repro.check.auditor import audit_network
 from repro.check.errors import InputError
+from repro.core.controller import ControllerLayout, Die
 from repro.core.flow import route_gated
-from repro.cts import RefineConfig, refine_tree
+from repro.core.gate_reduction import GateReductionPolicy
+from repro.cts import AnnealingRefiner, RefineConfig, refine_tree
 from repro.io.treejson import tree_to_dict
 from repro.tech import date98_technology
 
@@ -68,8 +70,6 @@ class TestConfigValidation:
 
 class TestZeroMoveNoOp:
     def test_zero_budget_returns_the_input_object(self, greedy, case, tech):
-        from repro.core.controller import ControllerLayout, Die
-
         tree = greedy.tree
         layout = ControllerLayout.centralized(
             case.die or Die.bounding([s.location for s in case.sinks])
@@ -172,8 +172,6 @@ class TestRefinedTreeIsSound:
 
 class TestResultAccounting:
     def test_counters_partition_the_budget(self, case, tech):
-        from repro.core.controller import ControllerLayout, Die
-
         greedy = route_gated(case.sinks, tech, case.oracle, die=case.die)
         layout = ControllerLayout.centralized(
             case.die or Die.bounding([s.location for s in case.sinks])
@@ -210,3 +208,80 @@ class TestGuards:
                 skew_bound=5.0,
                 refine=RefineConfig(moves=10),
             )
+
+
+class _ParityRefiner(AnnealingRefiner):
+    """Checks every incremental accept against the full recomputation."""
+
+    def __init__(self, *args, drift, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.drift = drift
+        self.checked = 0
+
+    def _commit(self, snapshot, assignment_undo, path):
+        current = super()._commit(snapshot, assignment_undo, path)
+        assert self.drift(self.tree) == []
+        assert current == self._exact_cost()
+        self.checked += 1
+        return current
+
+
+_WEIGHTS = {
+    "default": RefineConfig().weights,
+    "nni": (1.0, 0.0, 0.0),
+    "gate": (0.0, 1.0, 0.0),
+    "reassign": (0.0, 0.0, 1.0),
+}
+
+
+class TestIncrementalAcceptParity:
+    """After every accepted move the dirty-set re-placement equals a
+    full ``reembed`` field for field, and the term cache equals the
+    exact whole-network re-measurement as a float."""
+
+    @pytest.fixture(scope="class")
+    def flow_trees(self, tech):
+        case = load_benchmark("r1", scale=0.12)
+        die = case.die or Die.bounding([s.location for s in case.sinks])
+        trees = {}
+        for mode in (None, "merge", "demote", "remove"):
+            reduction = (
+                None if mode is None else GateReductionPolicy.from_knob(0.5, tech)
+            )
+            for controllers in (1, 4):
+                trees[mode, controllers] = route_gated(
+                    case.sinks,
+                    tech,
+                    case.oracle,
+                    die=die,
+                    reduction=reduction,
+                    reduction_mode=mode or "merge",
+                    num_controllers=controllers,
+                ).tree
+        return case.oracle, die, trees
+
+    @pytest.mark.parametrize("weights", sorted(_WEIGHTS))
+    @pytest.mark.parametrize("controllers", [1, 4])
+    @pytest.mark.parametrize("mode", [None, "merge", "demote", "remove"])
+    def test_every_accept_matches_full_recompute(
+        self, flow_trees, tech, reembed_drift, mode, controllers, weights
+    ):
+        oracle, die, trees = flow_trees
+        tree = trees[mode, controllers]
+        layout = (
+            ControllerLayout.centralized(die)
+            if controllers == 1
+            else ControllerLayout.distributed(die, controllers)
+        )
+        config = RefineConfig(moves=100, seed=5, weights=_WEIGHTS[weights])
+        refiner = _ParityRefiner(
+            tree, tech, oracle, layout, config, drift=reembed_drift
+        )
+        initial = refiner._exact_cost()
+        _, _, result = refiner.run()
+        assert result.initial_cost == initial
+        assert refiner.checked == result.moves_accepted
+        if weights == "reassign" and controllers == 1:
+            assert result.moves_accepted == 0  # a single controller
+        else:
+            assert result.moves_accepted > 0
