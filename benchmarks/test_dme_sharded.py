@@ -84,6 +84,18 @@ CANDIDATE_LIMIT = 16
 SEED = 2
 
 
+def _speedup_kind(cpu_count, workers: int) -> str:
+    """``"parallel"`` only where worker processes can run at once.
+
+    With fewer than two CPUs (or one worker) the shards run one after
+    another, so the speedup is purely algorithmic: K greedy runs over
+    N/K sinks instead of one over N.
+    """
+    if min(cpu_count or 1, workers) < 2:
+        return "algorithmic"
+    return "parallel"
+
+
 def _num_shards(n: int) -> int:
     return max(8, round(n / TARGET_SHARD_SINKS))
 
@@ -128,6 +140,8 @@ def _route_arm(case, tech, sharded: bool, num_shards: int):
 def test_sharded_scaling(run_once, tech, record):
     """Sharded vs single-process full flow at every configured size."""
 
+    speedup_kind = _speedup_kind(os.cpu_count(), WORKERS)
+
     def measure():
         rows = []
         for n in SIZES:
@@ -145,6 +159,7 @@ def test_sharded_scaling(run_once, tech, record):
                     "seconds_single": single_t,
                     "seconds_sharded": sharded_t,
                     "speedup": single_t / max(sharded_t, 1e-9),
+                    "speedup_kind": speedup_kind,
                     "switched_cap_single": single_r.switched_cap.total,
                     "switched_cap_sharded": sharded_r.switched_cap.total,
                     "cap_ratio": sharded_r.switched_cap.total
@@ -187,6 +202,7 @@ def test_sharded_scaling(run_once, tech, record):
                 "s (single)",
                 "s (sharded)",
                 "speedup",
+                "kind",
                 "cap ratio",
             ],
             [
@@ -197,6 +213,7 @@ def test_sharded_scaling(run_once, tech, record):
                     r["seconds_single"],
                     r["seconds_sharded"],
                     r["speedup"],
+                    r["speedup_kind"],
                     r["cap_ratio"],
                 ]
                 for r in rows

@@ -26,7 +26,16 @@ from repro.bench.sinks import SinkGenerator
 from repro.core import gated_routing
 from repro.core.flow import route_gated
 from repro.cts import BottomUpMerger
-from repro.obs import Tracer, load_json, set_tracer, write_bench_json, write_json
+from repro.core.gate_reduction import GateReductionPolicy
+from repro.obs import (
+    MetricsRegistry,
+    Tracer,
+    load_json,
+    set_registry,
+    set_tracer,
+    write_bench_json,
+    write_json,
+)
 from repro.obs.jsonio import round_floats
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -157,19 +166,22 @@ def test_vectorize_speedup(run_once, tech, record):
             )
 
 
-def _flow_seconds(sinks, die, tech, n, vectorize):
-    """One full gated route under a private tracer.
+def _flow_seconds(sinks, die, tech, n, vectorize, **flow_kwargs):
+    """One full gated route under a private tracer and registry.
 
     Times the ``flow.route_gated`` root span -- the end-to-end number
     the topology.gated bottleneck used to dominate.  A fresh oracle per
     mode keeps the LRU memos from leaking work across modes.  The flow
     has one engine; the scalar side is the merger-level reference,
-    swapped in under the gated tree builder.
+    swapped in under the gated tree builder.  Returns the result, the
+    root span's seconds and the published ``dme.*`` counters.
     """
     cpu = CpuModel(CpuModelConfig(num_modules=n, num_instructions=24, seed=3))
     oracle = cpu.oracle(1500)
     tracer = Tracer(enabled=True)
+    registry = MetricsRegistry()
     previous = set_tracer(tracer)
+    previous_registry = set_registry(registry)
     try:
         with pytest.MonkeyPatch.context() as patch:
             if not vectorize:
@@ -178,11 +190,16 @@ def _flow_seconds(sinks, die, tech, n, vectorize):
                     "BottomUpMerger",
                     functools.partial(BottomUpMerger, vectorize=False),
                 )
-            result = route_gated(sinks, tech, oracle, die=die)
+            result = route_gated(sinks, tech, oracle, die=die, **flow_kwargs)
     finally:
         set_tracer(previous)
+        set_registry(previous_registry)
     (root,) = [s for s in tracer.spans if s.name == "flow.route_gated"]
-    return result, root.duration_ns / 1e9
+    counters = {
+        name: registry.counter("dme." + name).value
+        for name in ("plans_computed", "kernel_scalar_fallbacks")
+    }
+    return result, root.duration_ns / 1e9, counters
 
 
 @pytest.mark.benchmark(group="vectorize")
@@ -200,8 +217,8 @@ def test_flow_vectorize_speedup(run_once, tech, scale, record):
             n = max(64, int(round(size * scale)))
             generator = SinkGenerator(num_sinks=n, seed=2)
             sinks, die = generator.generate(), generator.die()
-            vector_r, vector_t = _flow_seconds(sinks, die, tech, n, True)
-            scalar_r, scalar_t = _flow_seconds(sinks, die, tech, n, False)
+            vector_r, vector_t, _ = _flow_seconds(sinks, die, tech, n, True)
+            scalar_r, scalar_t, _ = _flow_seconds(sinks, die, tech, n, False)
             # The screens are decision-neutral end to end.
             assert vector_r.wirelength == scalar_r.wirelength
             assert vector_r.switched_cap.total == scalar_r.switched_cap.total
@@ -260,3 +277,101 @@ def test_flow_vectorize_speedup(run_once, tech, scale, record):
                 "(got %.2fx)"
                 % (FLOW_SPEEDUP_FLOOR, r["sinks"], r["speedup"])
             )
+
+
+#: The CLI default candidate limit; the k=16 rows below are recorded
+#: only (no floor), so the default configuration's numbers are on file.
+FLOW_K = 16
+
+
+@pytest.mark.benchmark(group="vectorize")
+def test_flow_k16_configurations(run_once, tech, scale, record):
+    """Gated and gate-reduced flows at the CLI default k=16, recorded.
+
+    The k=16 gated flow runs the exact pair-lane screen; the reduced
+    (merge mode, knob 0.5) flow runs the bound screen.  Each row keeps
+    both merges' plan counts and the vectorized run's scalar
+    fallbacks, next to the two root-span times.
+    """
+
+    def measure():
+        rows = []
+        for size in FLOW_SIZES:
+            n = max(64, int(round(size * scale)))
+            generator = SinkGenerator(num_sinks=n, seed=2)
+            sinks, die = generator.generate(), generator.die()
+            for label, reduction in (
+                ("gated", None),
+                ("reduced", GateReductionPolicy.from_knob(0.5, tech)),
+            ):
+                kwargs = dict(candidate_limit=FLOW_K, reduction=reduction)
+                vector_r, vector_t, vector_c = _flow_seconds(
+                    sinks, die, tech, n, True, **kwargs
+                )
+                scalar_r, scalar_t, scalar_c = _flow_seconds(
+                    sinks, die, tech, n, False, **kwargs
+                )
+                assert vector_r.wirelength == scalar_r.wirelength
+                assert (
+                    vector_r.switched_cap.total == scalar_r.switched_cap.total
+                )
+                rows.append(
+                    {
+                        "config": label,
+                        "sinks": n,
+                        "seconds_scalar": scalar_t,
+                        "seconds_vectorized": vector_t,
+                        "speedup": scalar_t / max(vector_t, 1e-9),
+                        "plans_scalar": scalar_c["plans_computed"],
+                        "plans_vectorized": vector_c["plans_computed"],
+                        "kernel_scalar_fallbacks": (
+                            vector_c["kernel_scalar_fallbacks"]
+                        ),
+                    }
+                )
+        return rows
+
+    rows = run_once(measure)
+
+    path = ROOT / "BENCH_dme_vectorize.json"
+    payload = load_json(path)
+    payload["flow_k16"] = {
+        "candidate_limit": FLOW_K,
+        "cost": "incremental_switched_capacitance_cost",
+        "reduced": "GateReductionPolicy.from_knob(0.5), merge mode",
+        "span": "flow.route_gated",
+        "sizes": list(FLOW_SIZES),
+        "rows": rows,
+    }
+    write_json(path, round_floats(payload))
+
+    record(
+        "dme_vectorize_flow_k16",
+        format_table(
+            [
+                "config",
+                "N",
+                "s (scalar)",
+                "s (vectorized)",
+                "speedup",
+                "plans (scalar)",
+                "plans (vec)",
+                "fallbacks",
+            ],
+            [
+                [
+                    r["config"],
+                    r["sinks"],
+                    r["seconds_scalar"],
+                    r["seconds_vectorized"],
+                    r["speedup"],
+                    r["plans_scalar"],
+                    r["plans_vectorized"],
+                    r["kernel_scalar_fallbacks"],
+                ]
+                for r in rows
+            ],
+            title="Gated and gate-reduced flows at k=16 (incremental cost, "
+            "flow.route_gated span; recorded, no floor)",
+        ),
+    )

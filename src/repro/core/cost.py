@@ -103,20 +103,21 @@ def _uniform_screen_ready(merger: BottomUpMerger) -> bool:
     )
 
 
-def _batch_merged_probability(merger, nid, others):
-    """Batched ``plan.merged_probability`` per candidate lane.
+def _batch_merged_probability(merger, a_ids, b_ids):
+    """Batched ``plan.merged_probability`` per pair lane.
 
     ``None`` when the plan would not compute one (cost/policy does not
     need it, or there is no oracle) -- matching :meth:`plan` exactly.
     Merged-pair signatures are one ``np.bitwise_or`` over the signature
     column; the oracle answers them through the same signature memo the
     scalar ``signal_probability`` routes through, so each lane is
-    bit-identical to the scalar lookup.
+    bit-identical to the scalar lookup.  ``a_ids`` may also be one node
+    id, broadcast over the ``b_ids`` lanes (the bound screen's query).
     """
     if not merger._needs_merged_probability or merger.oracle is None:
         return None
     sigs = merger.node_arrays.sig
-    return merger.oracle.batch_probabilities(np.bitwise_or(sigs[nid], sigs[others]))
+    return merger.oracle.batch_probabilities(np.bitwise_or(sigs[a_ids], sigs[b_ids]))
 
 
 def _select(chosen, on_value, off_value):
@@ -296,63 +297,53 @@ def _eq3_batch_lower_bound(merger, nid, others, distance):
     return total + a_clk * c * distance * np.minimum(w_a, w_b)
 
 
-def _batch_sides(merger, nid, others, uniform, merged_p, swapped):
+def _batch_sides(merger, a_ids, b_ids, uniform, merged_p):
     """Per-side quantities for the batched costs, in plan-side order.
 
-    Returns ``((cap, weight, star, ptr), ...)`` for the plan's a-side
-    then b-side.  ``swapped=False`` evaluates pairs ``(nid, other)``
-    (``nid`` is the a-side); ``swapped=True`` evaluates the canonical
-    pairs ``(other, nid)`` the initialization scan needs when
-    ``other < nid`` -- the array-backed quantities move to the a-side,
-    and NumPy broadcasting keeps every per-lane float chain identical
-    to the scalar orientation's.
+    Returns ``((cap, weight, star, ptr), ...)`` for the a-side lanes
+    ``a_ids`` then the b-side lanes ``b_ids``, both read from the node
+    arrays, so a lane's pair orientation is simply which array holds
+    which id.
     """
-    tech = merger.tech
     cp = merger.controller_point
     arrays = merger.node_arrays
-    na = merger.tree.node(nid)
-    w_nid = _decision_weight(uniform, na.enable_probability, merged_p)
-    w_oth = _decision_weight(uniform, arrays.enable_p[others], merged_p)
-    star_nid = ptr_nid = star_oth = ptr_oth = None
-    if uniform.maskable:
-        star_nid = cp.manhattan_to(na.merging_segment.center())
-        ptr_nid = na.enable_transition_probability
-        star_oth = _kernels.batch_star_length(
-            cp.x,
-            cp.y,
-            arrays.ulo[others],
-            arrays.uhi[others],
-            arrays.vlo[others],
-            arrays.vhi[others],
-        )
-        ptr_oth = arrays.enable_ptr[others]
-    side_nid = (na.subtree_cap, w_nid, star_nid, ptr_nid)
-    side_oth = (arrays.cap[others], w_oth, star_oth, ptr_oth)
-    if swapped:
-        return side_oth, side_nid
-    return side_nid, side_oth
+    sides = []
+    for ids in (a_ids, b_ids):
+        weight = _decision_weight(uniform, arrays.enable_p[ids], merged_p)
+        star = ptr = None
+        if uniform.maskable:
+            star = _kernels.batch_star_length(
+                cp.x,
+                cp.y,
+                arrays.ulo[ids],
+                arrays.uhi[ids],
+                arrays.vlo[ids],
+                arrays.vhi[ids],
+            )
+            ptr = arrays.enable_ptr[ids]
+        sides.append((arrays.cap[ids], weight, star, ptr))
+    return sides
 
 
-def _eq3_batch_cost(merger, nid, others, distance, split, swapped=False):
-    """Exact batched Eq. 3 costs over a candidate id array.
+def _eq3_batch_cost(merger, a_ids, b_ids, distance, split):
+    """Exact batched Eq. 3 costs over the pair lanes ``(a_ids, b_ids)``.
 
     Called only under the merger's exact kernel screen, whose
     ``batch_cost_ready`` gate (:func:`_uniform_screen_ready`) guarantees
-    a uniform cell decision; ``split`` carries the cell-aware batched
-    zero-skew splits (computed in the same orientation as ``swapped``,
-    see :func:`_batch_sides`).  Mirrors
+    a uniform cell decision; ``split`` carries the lanes' cell-aware
+    batched zero-skew splits, snaked lanes included.  Mirrors
     :func:`switched_capacitance_cost`'s accumulation order term for
-    term, so in-range lanes are bit-identical to the scalar
-    ``cost(plan(...))`` of the oriented pair; snaking lanes are
-    re-planned scalar by the merger (``kernel_scalar_fallbacks``).
+    term, so every lane the split models is bit-identical to the scalar
+    ``cost(plan(a, b))``; the merger re-plans the rest scalar
+    (``kernel_scalar_fallbacks``).
     """
     tech = merger.tech
     c = tech.unit_wire_capacitance
     a_clk = tech.clock_transitions_per_cycle
     gate_in = tech.masking_gate.input_cap
     uniform = merger.cell_policy.uniform_decision(tech)
-    merged_p = _batch_merged_probability(merger, nid, others)
-    sides = _batch_sides(merger, nid, others, uniform, merged_p, swapped)
+    merged_p = _batch_merged_probability(merger, a_ids, b_ids)
+    sides = _batch_sides(merger, a_ids, b_ids, uniform, merged_p)
 
     total = None
     for length, (cap, weight, star, ptr) in zip(
@@ -467,25 +458,24 @@ def _incremental_lower_bound(
     return total
 
 
-def _incremental_batch_cost(merger, nid, others, distance, split, swapped=False):
-    """Exact batched count-once costs over a candidate id array.
+def _incremental_batch_cost(merger, a_ids, b_ids, distance, split):
+    """Exact batched count-once costs over the pair lanes ``(a_ids, b_ids)``.
 
     The batched mirror of
     :func:`incremental_switched_capacitance_cost`, engaged by the
     merger's exact kernel screen when :func:`_uniform_screen_ready`
     holds.  Accumulation order matches the scalar loop (a-wire, a-pin,
-    a-star, b-wire, b-pin, b-star) for the pair orientation selected by
-    ``swapped`` (see :func:`_batch_sides`), so in-range lanes are
-    bit-identical to the scalar ``cost(plan(...))``.
+    a-star, b-wire, b-pin, b-star), so every lane the split models,
+    snaked or not, is bit-identical to the scalar ``cost(plan(a, b))``.
     """
     tech = merger.tech
     c = tech.unit_wire_capacitance
     a_clk = tech.clock_transitions_per_cycle
     gate_in = tech.masking_gate.input_cap
     uniform = merger.cell_policy.uniform_decision(tech)
-    merged_p = _batch_merged_probability(merger, nid, others)
+    merged_p = _batch_merged_probability(merger, a_ids, b_ids)
     pin_p = merged_p if merged_p is not None else 1.0
-    sides = _batch_sides(merger, nid, others, uniform, merged_p, swapped)
+    sides = _batch_sides(merger, a_ids, b_ids, uniform, merged_p)
 
     total = None
     for length, (cap, weight, star, ptr) in zip(

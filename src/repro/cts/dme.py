@@ -46,25 +46,30 @@ layers are:
   ulp-level tie;
 * **vectorized kernel screens** batch-evaluate whole candidate sets
   with the NumPy kernels of :mod:`repro.cts.kernels`.  Costs exposing
-  ``batch_cost`` (all the built-in objectives) get an *exact* screen:
-  one kernel call ranks every candidate by ``(cost, id)`` and only the
-  winner is planned scalar.  The optional ``batch_cost_ready`` hook lets a cost decline
-  the exact screen per run (e.g. the switched-capacitance costs
-  without a uniform cell decision).  Split-dependent batch costs take a
-  ``swapped`` flag, so the screen also covers the canonical
-  initialization scans, whose below-``nid`` lanes run through swapped
-  sub-batches; declined runs batch their lower bounds through
-  ``batch_lower_bound`` instead.  Those bounds read the cell policy's
-  per-lane decisions (:meth:`CellPolicy.lane_decisions`), so the
-  merge-time gate reduction of :mod:`repro.core.gate_reduction` -- the
-  CLI default -- batches its bounds too.  Merged-pair enable
-  probabilities are batched through activation signatures
+  ``batch_cost`` (all the built-in objectives) get an *exact* screen
+  over *pair lanes*: lane ``j`` is the pair ``(a_ids[j], b_ids[j])``
+  in that plan orientation, so one screen serves many query nodes and
+  both orientations.  The initialization scan (in chunks of a fixed
+  lane budget), each new node's introduction and each merge's eager
+  orphan repair are one screen apiece; every query takes its lanes'
+  ``(cost, id)`` minimum, and scalar ``plan()`` plans only the pair
+  that is actually merged.  The split kernel models snaked lanes too,
+  so the only scalar fallbacks left are the lanes the scalar split
+  raises on or special-cases.  The optional ``batch_cost_ready`` hook
+  lets a cost decline the exact screen per run (e.g. the
+  switched-capacitance costs without a uniform cell decision);
+  declined runs batch their lower bounds through ``batch_lower_bound``
+  instead.  Those bounds read the cell policy's per-lane decisions
+  (:meth:`CellPolicy.lane_decisions`), so the merge-time gate
+  reduction of :mod:`repro.core.gate_reduction` -- the CLI default --
+  batches its bounds too.  Merged-pair enable probabilities are
+  batched through activation signatures
   (:meth:`repro.activity.probability.ActivityOracle.batch_probabilities`),
   and ``candidate_limit`` index queries batch their ring distances
   through the same segment-distance kernel.  The kernels mirror the
-  scalar float arithmetic bit for bit, and the engine falls back to
-  scalar ``plan()`` for everything they do not model -- snaked splits,
-  bounded skew, the cell sizer -- so greedy decisions never change.
+  scalar float arithmetic bit for bit, and the engine keeps scalar
+  ``plan()`` for everything they do not model -- bounded skew, the
+  cell sizer -- so greedy decisions never change.
 
 Exact-greedy runs (no ``candidate_limit``) also repair orphaned
 best-pair pointers *lazily*: pair costs are immutable and an orphan's
@@ -89,6 +94,8 @@ import math
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.activity.probability import ActivityOracle
 from repro.check.errors import InputError, InternalInvariantError
@@ -229,10 +236,12 @@ class MergerStats:
     The kernel counters track the vectorized screens:
     ``kernel_batches`` batched evaluations, ``kernel_candidates``
     candidate lanes they covered, and ``kernel_scalar_fallbacks``
-    lanes handed back to the scalar ``plan()`` because the kernels do
-    not model them (snaked splits).  ``distance_reuses`` counts
-    ``plan()`` calls that received an already-measured segment distance
-    instead of re-deriving it.
+    lanes handed back to the scalar ``plan()`` because the split
+    kernel leaves them to the scalar split (the snaking quadratic's
+    raising or linear special cases; snaked lanes themselves are
+    modelled).  ``distance_reuses`` counts ``plan()`` calls that
+    received an already-measured segment distance instead of
+    re-deriving it.
 
     The repair counters split best-pair recomputations by trigger:
     ``orphan_recomputes`` eager per-merge repairs of nodes whose best
@@ -293,6 +302,11 @@ logger = logging.getLogger(__name__)
 #: thousand times that, yet negligible against any real cost gap.
 _LOWER_BOUND_MARGIN = 1.0 - 1e-12
 
+#: Lanes per pair-lane screen of :meth:`BottomUpMerger._screen_all`:
+#: large enough that NumPy call overhead vanishes, small enough that an
+#: initialization scan of 100k nodes stays within a few MiB of lanes.
+_SCREEN_LANE_BUDGET = 1 << 14
+
 
 def nearest_neighbor_cost(plan: MergePlan, merger: "BottomUpMerger") -> LengthUm:
     """Geometric distance between merging segments (Edahiro-style)."""
@@ -306,16 +320,15 @@ def _nearest_neighbor_lower_bound(
     return distance
 
 
-def _nearest_neighbor_batch_cost(merger, nid, others, distance, split=None):
+def _nearest_neighbor_batch_cost(merger, a_ids, b_ids, distance, split=None):
     """Exact batched costs: the cost *is* the batched distance.
 
-    ``batch_cost`` hooks receive the querying node, the candidate id
-    array, their batched segment distances and (only when the cost sets
-    ``batch_cost_needs_split``) a :class:`repro.cts.kernels.BatchSplit`
-    plus a ``swapped`` flag.  They must return per-lane costs
-    bit-identical to ``cost(plan(...))``: ``plan(nid, other)`` lanes, or
-    ``plan(other, nid)`` lanes when ``swapped`` is true (the split then
-    arrives already computed in that orientation).
+    ``batch_cost`` hooks receive pair lanes -- the id arrays ``a_ids``
+    and ``b_ids`` -- with their batched segment distances and (only
+    when the cost sets ``batch_cost_needs_split``) the lanes'
+    :class:`repro.cts.kernels.BatchSplit`.  They must return per-lane
+    costs bit-identical to ``cost(plan(a_ids[j], b_ids[j]))``; both
+    sides' node quantities are read from ``merger.node_arrays``.
     """
     return distance
 
@@ -431,7 +444,7 @@ class BottomUpMerger:
             )
         self.controller_point = controller_point
         self._active: Set[int] = set(range(len(sinks)))
-        self._best: Dict[int, Tuple[float, int, int]] = {}
+        self._best: Dict[int, Tuple[float, int, int, Optional[float]]] = {}
         self._reverse: Dict[int, Set[int]] = {}
         self._heap: List[Tuple[float, int, int]] = []
         self._generation = 0
@@ -749,83 +762,114 @@ class BottomUpMerger:
         distance = self._batch_distances(nid, others)
         return others[_kernels.rank_by_cost(others, distance)[:limit]]
 
-    def _screen_costs(self, nid: int, ids, canonical: bool = False):
-        """Exact batched ``(costs, distances)`` over candidate ids.
+    def _screen_pairs(self, a_ids, b_ids):
+        """Exact batched ``(costs, distances)`` over pair lanes.
 
+        Lane ``j`` is the pair ``(a_ids[j], b_ids[j])`` in that plan
+        orientation, so one screen can mix query nodes and orientations
+        (``plan(a, b)`` and ``plan(b, a)`` agree only to rounding).
         Per-lane costs are bit-identical to ``self.cost`` over scalar
-        plans: in-range zero-skew lanes come from the batch kernels,
-        every lane the kernels cannot model (snaked splits) falls back
-        to a scalar plan, counted in ``kernel_scalar_fallbacks``.
-        ``canonical`` evaluates every pair in ``(min id, max id)``
-        orientation, matching the scalar initialization scans: for
-        split-dependent costs, candidates below ``nid`` run through a
-        *swapped* sub-batch (the split kernel is broadcasting-
-        symmetric, so swapped lanes reproduce ``plan(other, nid)`` bit
-        for bit).
+        plans: in-range and snaked zero-skew lanes come from the batch
+        kernels; the rare lanes the split kernel leaves to the scalar
+        split fall back to a scalar plan, counted in
+        ``kernel_scalar_fallbacks``.
         """
-        distance = self._batch_distances(nid, ids)
-        if not self._batch_cost_needs_split:
-            return self._batch_cost(self, nid, ids, distance, None), distance
-        if canonical:
-            lo = ids < nid
-            if lo.all():
-                costs = self._oriented_costs(nid, ids, distance, swapped=True)
-                return costs, distance
-            if lo.any():
-                hi = ~lo
-                costs = _kernels.scatter_by_mask(
-                    lo,
-                    self._oriented_costs(
-                        nid, ids[lo], distance[lo], swapped=True
-                    ),
-                    self._oriented_costs(
-                        nid, ids[hi], distance[hi], swapped=False
-                    ),
-                )
-                return costs, distance
-        return self._oriented_costs(nid, ids, distance, swapped=False), distance
-
-    def _oriented_costs(self, nid: int, ids, distance, swapped: bool):
-        """Batched split-dependent costs for one pair orientation.
-
-        ``swapped=False`` evaluates ``(nid, other)`` lanes;
-        ``swapped=True`` evaluates ``(other, nid)`` -- the orientation
-        the canonical scans need for candidates below ``nid``.  Lanes
-        the split kernel cannot model fall back to a scalar plan in
-        the matching orientation.
-        """
-        node = self.tree.node(nid)
-        uniform = self._uniform_decision
-        cell = uniform.cell if uniform is not None else None
-        side_nid = (node.subtree_cap, node.sink_delay)
-        side_oth = (self.node_arrays.cap[ids], self.node_arrays.delay[ids])
-        (cap_a, delay_a), (cap_b, delay_b) = (
-            (side_oth, side_nid) if swapped else (side_nid, side_oth)
+        self.stats.kernel_batches += 1
+        self.stats.kernel_candidates += int(b_ids.size)
+        arrays = self.node_arrays
+        distance = _kernels.batch_segment_distance(
+            arrays.ulo[a_ids],
+            arrays.uhi[a_ids],
+            arrays.vlo[a_ids],
+            arrays.vhi[a_ids],
+            arrays.ulo[b_ids],
+            arrays.uhi[b_ids],
+            arrays.vlo[b_ids],
+            arrays.vhi[b_ids],
         )
+        if not self._batch_cost_needs_split:
+            return self._batch_cost(self, a_ids, b_ids, distance, None), distance
+        cell = self._uniform_decision.cell
         split = _kernels.batch_zero_skew_split(
             distance,
-            cap_a,
-            delay_a,
-            cap_b,
-            delay_b,
+            arrays.cap[a_ids],
+            arrays.delay[a_ids],
+            arrays.cap[b_ids],
+            arrays.delay[b_ids],
             self.tech.unit_wire_resistance,
             self.tech.unit_wire_capacitance,
             cell_a=cell,
             cell_b=cell,
         )
-        costs = self._batch_cost(self, nid, ids, distance, split, swapped=swapped)
-        lanes = _kernels.out_of_range_lanes(split)
+        costs = self._batch_cost(self, a_ids, b_ids, distance, split)
+        lanes = _kernels.fallback_lanes(split)
         if lanes:
             costs = costs.copy()
             for j in lanes:
-                other = int(ids[j])
-                d = float(distance[j])
-                if swapped:
-                    costs[j] = self._pair_cost(other, nid, distance=d)
-                else:
-                    costs[j] = self._pair_cost(nid, other, distance=d)
+                costs[j] = self._pair_cost(
+                    int(a_ids[j]), int(b_ids[j]), distance=float(distance[j])
+                )
                 self.stats.kernel_scalar_fallbacks += 1
-        return costs
+        return costs, distance
+
+    def _screen_best(self, queries, canonical: bool = False) -> None:
+        """Exact-screen best partners for ``(nid, candidate ids)`` queries.
+
+        All queries share one pair-lane screen; each query's winner is
+        its segment's ``(cost, id)`` minimum -- the scalar loop's
+        comparison over the same bit-identical floats.  ``_set_best``
+        runs in query order, so generations and heap entries match
+        per-node recomputes.  ``canonical`` orients every lane
+        ``(min id, max id)``, like the scalar initialization scans.
+        """
+        sizes = [int(ids.size) for _, ids in queries]
+        lanes = sum(sizes)
+        best = [(None, None, None)] * len(queries)
+        if lanes:
+            others = np.concatenate([ids for _, ids in queries])
+            lane_nid = np.repeat(
+                _kernels.as_id_array(nid for nid, _ in queries), sizes
+            )
+            if canonical:
+                a_ids = np.minimum(lane_nid, others)
+                b_ids = np.maximum(lane_nid, others)
+            else:
+                a_ids, b_ids = lane_nid, others
+            costs, distance = self._screen_pairs(a_ids, b_ids)
+            segment = np.repeat(np.arange(len(queries)), sizes)
+            order = np.lexsort((others, costs, segment))
+            # Sorted by segment first: each segment's winner leads its
+            # block, which starts where the earlier segments end.
+            starts = np.cumsum(sizes) - sizes
+            winners = order[np.minimum(starts, lanes - 1)]
+            best = zip(
+                costs[winners].tolist(),
+                others[winners].tolist(),
+                distance[winners].tolist(),
+            )
+        for (nid, _), size, (cost, partner, d) in zip(queries, sizes, best):
+            if size:
+                self._set_best(nid, cost, partner, d)
+            else:
+                self._best.pop(nid, None)
+
+    def _screen_all(self, nids, canonical: bool = False) -> None:
+        """:meth:`_screen_best` over ``nids`` in order, in screens of
+        about ``_SCREEN_LANE_BUDGET`` lanes so memory stays bounded.
+
+        Candidate sets read only the active set and the index, which no
+        recompute changes, so batching the queries changes no decision.
+        """
+        queries, lanes = [], 0
+        for nid in nids:
+            ids = self._kernel_candidates(nid)
+            queries.append((nid, ids))
+            lanes += int(ids.size)
+            if lanes >= _SCREEN_LANE_BUDGET:
+                self._screen_best(queries, canonical)
+                queries, lanes = [], 0
+        if queries:
+            self._screen_best(queries, canonical)
 
     def _kernel_rank(self, nid: int, candidates: List[int]):
         """Batched lower bounds for :meth:`_ranked_candidates`, or
@@ -874,12 +918,20 @@ class BottomUpMerger:
         scored.sort()
         return scored
 
-    def _set_best(self, nid: int, cost: float, partner: int) -> None:
+    def _set_best(
+        self,
+        nid: int,
+        cost: float,
+        partner: int,
+        distance: Optional[float] = None,
+    ) -> None:
+        """Record ``nid``'s best pair; a screen's measured ``distance``
+        rides along to the pair's plan if it is merged."""
         old = self._best.get(nid)
         if old is not None:
             self._reverse.get(old[1], set()).discard(nid)
         self._generation += 1
-        self._best[nid] = (cost, partner, self._generation)
+        self._best[nid] = (cost, partner, self._generation, distance)
         self._reverse.setdefault(partner, set()).add(nid)
         heapq.heappush(self._heap, (cost, nid, self._generation))
 
@@ -892,27 +944,11 @@ class BottomUpMerger:
         shared all-pairs loop would have produced (``plan(a, b)`` and
         ``plan(b, a)`` agree only to rounding).
 
-        With an exact kernel screen one batch ranks every candidate by
-        ``(cost, id)`` -- the same comparison the scalar loop applies,
-        over the same bit-identical floats -- and only the winner gets
-        a scalar plan.  In canonical scans, split-dependent costs
-        evaluate candidates below ``nid`` through swapped sub-batches
-        (see :meth:`_screen_costs`).
+        With an exact kernel screen one pair-lane screen ranks every
+        candidate (:meth:`_screen_best`).
         """
         if self._exact_screen:
-            ids = self._kernel_candidates(nid)
-            if ids.size == 0:
-                self._best.pop(nid, None)
-                return
-            costs, distance = self._screen_costs(nid, ids, canonical=canonical)
-            j = int(_kernels.rank_by_cost(ids, costs)[0])
-            partner = int(ids[j])
-            d = float(distance[j])
-            if canonical and partner < nid:
-                cost = self._pair_cost(partner, nid, distance=d)
-            else:
-                cost = self._pair_cost(nid, partner, distance=d)
-            self._set_best(nid, cost, partner)
+            self._screen_all([nid], canonical)
             return
         best_cost, best_partner = None, None
         ranked = self._ranked_candidates(nid)
@@ -937,15 +973,20 @@ class BottomUpMerger:
         self._set_best(nid, best_cost, best_partner)
 
     def _initialize_best(self) -> None:
+        # Exact greedy scans in canonical pair orientation, which keeps
+        # every cost float identical to the all-pairs loop below; the
+        # exact kernel screen or lower-bound pruning skips almost every
+        # plan evaluation.
+        if self._exact_screen:
+            self._screen_all(
+                sorted(self._active), canonical=self.candidate_limit is None
+            )
+            return
         if self.candidate_limit is not None:
             for nid in sorted(self._active):
                 self._recompute_best(nid)
             return
-        if self._prune or self._exact_screen:
-            # Same outcome as the all-pairs loop below (canonical pair
-            # orientation keeps every cost float identical), but the
-            # lower-bound pruning -- or the exact kernel screen --
-            # skips almost every plan evaluation.
+        if self._prune:
             for nid in sorted(self._active):
                 self._recompute_best(nid, canonical=True)
             return
@@ -961,7 +1002,7 @@ class BottomUpMerger:
         for nid, (cost, partner) in best.items():
             self._set_best(nid, cost, partner)
 
-    def _pop_valid_pair(self) -> Tuple[int, int]:
+    def _pop_valid_pair(self) -> Tuple[int, int, Optional[float]]:
         while self._heap:
             cost, nid, generation = heapq.heappop(self._heap)
             self.stats.heap_pops += 1
@@ -980,7 +1021,7 @@ class BottomUpMerger:
                 self.stats.repair_recomputes += 1
                 self._recompute_best(nid)
                 continue
-            return nid, partner
+            return nid, partner, current[3]
         # The merge loop always leaves >= 2 active nodes with mutual
         # best pointers; an empty heap here means the bookkeeping
         # (generation counters, reverse pointers) broke mid-run.
@@ -1045,33 +1086,56 @@ class BottomUpMerger:
     def _introduce_screened(self, merged_id: int) -> None:
         """Kernel-screened :meth:`_introduce`.
 
-        One batch evaluates every candidate's exact pair cost; only the
-        new node's winning partner gets a scalar plan.  Neighbour
-        updates apply the scalar loop's exact condition
+        One pair-lane screen evaluates every candidate's exact pair
+        cost, and the new node takes the ``(cost, id)`` minimum.
+        Neighbour updates apply the scalar loop's exact condition
         ``(cost, merged_id) < (current cost, current partner)`` to the
         bit-identical batched costs, so the resulting best-pair state
         matches the scalar path's (update *order* differs, but
         generation staleness makes heap outcomes order-independent).
         """
         ids = self._kernel_candidates(merged_id)
-        best_cost, best_partner = None, None
+        best_cost = best_partner = best_distance = None
         if ids.size:
-            costs, distance = self._screen_costs(merged_id, ids)
-            order = _kernels.rank_by_cost(ids, costs)
-            j = int(order[0])
-            best_partner = int(ids[j])
-            best_cost = self._pair_cost(
-                merged_id, best_partner, distance=float(distance[j])
+            costs, distance = self._screen_pairs(
+                np.full(ids.size, merged_id, dtype=np.int64), ids
             )
-            for j in order.tolist():
-                other = int(ids[j])
-                cost = float(costs[j])
+            order = _kernels.rank_by_cost(ids, costs)
+            ranked = list(
+                zip(
+                    costs[order].tolist(),
+                    ids[order].tolist(),
+                    distance[order].tolist(),
+                )
+            )
+            best_cost, best_partner, best_distance = ranked[0]
+            for cost, other, d in ranked:
                 current = self._best.get(other)
                 if current is None or (cost, merged_id) < (current[0], current[1]):
-                    self._set_best(other, cost, merged_id)
+                    self._set_best(other, cost, merged_id, d)
         self._activate(merged_id)
         if best_partner is not None:
-            self._set_best(merged_id, best_cost, best_partner)
+            self._set_best(merged_id, best_cost, best_partner, best_distance)
+
+    def _repair_orphans(self, orphans: Set[int]) -> None:
+        """Eager repair of nodes whose best partner just merged.
+
+        The orphans that still need a recompute after ``_introduce``
+        are collected first and, under the exact screen, screened in
+        one batch.  A recompute changes only its own node's best pair,
+        so collecting first changes no decision.
+        """
+        stale = []
+        for orphan in orphans:
+            current = self._best.get(orphan)
+            if current is None or current[1] not in self._active:
+                stale.append(orphan)
+        self.stats.orphan_recomputes += len(stale)
+        if self._exact_screen:
+            self._screen_all(stale)
+            return
+        for orphan in stale:
+            self._recompute_best(orphan)
 
     # ------------------------------------------------------------------
     # the full flow
@@ -1119,17 +1183,13 @@ class BottomUpMerger:
                 total_merges = len(self._active) - 1
                 merges_done = 0
                 while len(self._active) > 1:
-                    a_id, b_id = self._pop_valid_pair()
-                    plan = self._plan_pair(a_id, b_id)
+                    a_id, b_id, distance = self._pop_valid_pair()
+                    plan = self._plan_pair(a_id, b_id, distance)
                     merged = self.execute(plan)
                     orphans = (self._retire(a_id) | self._retire(b_id)) & self._active
                     self._introduce(merged.id)
                     if self._eager_repair:
-                        for orphan in orphans:
-                            current = self._best.get(orphan)
-                            if current is None or current[1] not in self._active:
-                                self.stats.orphan_recomputes += 1
-                                self._recompute_best(orphan)
+                        self._repair_orphans(orphans)
                     merges_done += 1
                     tracer.progress(merges_done, total_merges)
             (root,) = self._active

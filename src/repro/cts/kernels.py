@@ -23,13 +23,13 @@ What is batched:
 
 * :func:`batch_segment_distance` -- ``Trr.distance_to`` over
   ``(ulo, uhi, vlo, vhi)`` arrays;
-* :func:`batch_zero_skew_split` -- the
-  ``repro.cts.merge.zero_skew_split`` linear balance ``x = num / den``
-  (plain wires, or uniform cells on both edges via ``cell_a`` /
-  ``cell_b``), with the degenerate-denominator and out-of-range
-  classification masks.  Out-of-range (snaking) lanes are *classified
-  only*: their results are not modelled here, and the merger falls
-  back to the scalar ``plan()`` for them;
+* :func:`batch_zero_skew_split` -- ``repro.cts.merge.zero_skew_split``
+  over pair lanes (plain wires, or uniform cells on both edges via
+  ``cell_a`` / ``cell_b``): the linear balance ``x = num / den`` with
+  its degenerate-denominator and out-of-range classification, and the
+  snaked lanes' positive quadratic root.  Only the lanes the scalar
+  split raises on or special-cases are left to the scalar ``plan()``
+  (:func:`fallback_lanes`);
 * :func:`batch_star_length` -- controller-to-segment-center Manhattan
   distance (the enable-star estimate of the Eq. 3 cost terms).
 
@@ -46,7 +46,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from repro.cts.merge import DEGENERATE_DEN_EPS, DEGENERATE_SKEW_EPS
+from repro.cts.merge import DEGENERATE_DEN_EPS, DEGENERATE_SKEW_EPS, SNAKE_EPS
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (dme -> kernels)
     from repro.cts.topology import ClockNode
@@ -69,23 +69,6 @@ def rank_by_cost(ids: np.ndarray, costs: np.ndarray) -> np.ndarray:
     Scalar counterpart: repro.cts.dme.BottomUpMerger._recompute_best
     """
     return np.lexsort((ids, costs))
-
-
-def scatter_by_mask(
-    mask: np.ndarray, when_true: np.ndarray, when_false: np.ndarray
-) -> np.ndarray:
-    """Interleave two per-lane result arrays back into mask order.
-
-    ``when_true`` holds the lanes where ``mask`` is set (in order),
-    ``when_false`` the rest.  Used to recombine the two orientation
-    sub-batches of a canonical candidate screen.
-
-    Scalar counterpart: none -- index plumbing, no scalar arithmetic.
-    """
-    out = np.empty(mask.shape, dtype=np.float64)
-    out[mask] = when_true
-    out[~mask] = when_false
-    return out
 
 
 def batch_segment_distance(
@@ -140,10 +123,12 @@ def batch_star_length(
 class BatchSplit:
     """Vectorized ``zero_skew_split`` outcome over a candidate batch.
 
-    The per-lane values (``length_a`` .. ``merged_cap``) are valid only
-    where ``in_range`` is True; snaking lanes (``snake_a``/``snake_b``)
-    carry zeros there and must be re-evaluated with the scalar
-    ``zero_skew_split``.
+    The per-lane values (``length_a`` .. ``merged_cap``) are valid
+    wherever ``modelled`` is True: in-range lanes and snaked lanes
+    (``snake_a``/``snake_b``) alike.  The few lanes the scalar
+    ``zero_skew_split`` raises on or special-cases (see
+    :func:`batch_zero_skew_split`) carry zeros there and must be
+    re-evaluated by the scalar split.
     """
 
     x: np.ndarray
@@ -157,36 +142,52 @@ class BatchSplit:
     degenerate: np.ndarray
     snake_a: np.ndarray
     snake_b: np.ndarray
+    modelled: np.ndarray
+
+
+def _edge_delay(intrinsic, drive, length, cap, delay, r, c):
+    """``Tap.edge_delay``: ``D + R (c x + C) + r x (c x / 2 + C) + t``."""
+    return (
+        intrinsic
+        + drive * (c * length + cap)
+        + r * length * (c * length / 2.0 + cap)
+        + delay
+    )
 
 
 def batch_zero_skew_split(
     length: np.ndarray,
-    cap_a: float,
-    delay_a: float,
-    cap_b: np.ndarray,
-    delay_b: np.ndarray,
+    cap_a,
+    delay_a,
+    cap_b,
+    delay_b,
     r: float,
     c: float,
     cell_a=None,
     cell_b=None,
 ) -> BatchSplit:
-    """``zero_skew_split`` over a batch of candidates.
+    """``zero_skew_split`` over a batch of pair lanes.
 
-    Side ``a`` is usually the (scalar) query node and side ``b`` the
-    candidate arrays, but every expression below broadcasts
-    symmetrically: passing the arrays as side ``a`` and the scalars as
-    side ``b`` produces the identical per-lane float chains in the
-    swapped pair orientation -- the canonical initialization scans use
-    this for candidates below the query id.  ``cell_a`` / ``cell_b``
-    are the cells (gate/buffer
-    models exposing ``drive_resistance`` / ``intrinsic_delay`` /
-    ``input_cap``) on the two new edges, or ``None`` for plain wire --
-    uniform across the batch, which is exactly the case the merger's
-    uniform cell policies produce.  With no cells the drive/intrinsic
-    terms vanish exactly (``0.0 * finite == 0.0`` and ``0.0 + x == x``
-    for the non-negative operands involved), so each expression below
-    reproduces the scalar function's float chain bit for bit on the
-    in-range path -- with or without cells.
+    Each side's ``cap`` / ``delay`` is a per-lane array or a scalar;
+    every expression below broadcasts symmetrically, so a lane's float
+    chain is the scalar split's for that lane's ``(a, b)`` orientation
+    whichever side the arrays sit on.  ``cell_a`` / ``cell_b`` are the
+    cells (gate/buffer models exposing ``drive_resistance`` /
+    ``intrinsic_delay`` / ``input_cap``) on the two new edges, or
+    ``None`` for plain wire -- uniform across the batch, which is
+    exactly the case the merger's uniform cell policies produce.  With
+    no cells the drive/intrinsic terms vanish exactly (``0.0 * finite
+    == 0.0`` and ``0.0 + x == x`` for the non-negative operands
+    involved), so each expression reproduces the scalar function's
+    float chain bit for bit -- with or without cells.
+
+    Snaked lanes follow ``_snake_length``: the slow side keeps a zero
+    edge, the target delay is its ``edge_delay(0.0)``, and the fast
+    side's wire is the positive root of the same ``quad``/``lin``/
+    ``const`` quadratic (``np.sqrt`` rounds like ``math.sqrt``), 0.0
+    when ``const >= -EPS``, then ``max(root, length)``.  Lanes where
+    the scalar code raises (``const > EPS``) or takes its linear
+    special case (``quad <= EPS``) are left out of ``modelled``.
 
     Scalar counterpart: repro.cts.merge.zero_skew_split
     """
@@ -197,7 +198,9 @@ def batch_zero_skew_split(
 
     den = c * (ra + rb) + r * (cap_a + cap_b) + r * c * length
     # Tap.unloaded_delay: t' = D + R * C + t, association preserved.
-    skew = (ib + rb * cap_b + delay_b) - (ia + ra * cap_a + delay_a)
+    unloaded_a = ia + ra * cap_a + delay_a
+    unloaded_b = ib + rb * cap_b + delay_b
+    skew = unloaded_b - unloaded_a
     num = length * (rb * c + r * cap_b) + r * c * length * length / 2.0 + skew
 
     degenerate = den <= DEGENERATE_DEN_EPS
@@ -216,15 +219,34 @@ def batch_zero_skew_split(
     snake_b = x < 0.0
     snake_a = x > length
     in_range = ~(snake_a | snake_b)
+    modelled = in_range
 
     e_a = np.where(in_range, x, 0.0)
     e_b = np.where(in_range, length - x, 0.0)
-    edge_delay_a = (
-        ia + ra * (c * e_a + cap_a) + r * e_a * (c * e_a / 2.0 + cap_a) + delay_a
-    )
-    edge_delay_b = (
-        ib + rb * (c * e_b + cap_b) + r * e_b * (c * e_b / 2.0 + cap_b) + delay_b
-    )
+    if not in_range.all():
+        # _snake_length(fast, slow.edge_delay(0.0)) per snaked lane.
+        quad = r * c / 2.0
+        const = np.where(
+            snake_a,
+            unloaded_a - _edge_delay(ib, rb, 0.0, cap_b, delay_b, r, c),
+            unloaded_b - _edge_delay(ia, ra, 0.0, cap_a, delay_a, r, c),
+        )
+        lin = np.where(snake_a, ra * c + r * cap_a, rb * c + r * cap_b)
+        scalar_only = const > SNAKE_EPS
+        if quad <= SNAKE_EPS:
+            scalar_only = scalar_only | (const < -SNAKE_EPS)
+        modelled = in_range | ~scalar_only
+        with np.errstate(invalid="ignore", divide="ignore"):
+            disc = lin * lin - 4.0 * quad * const
+            root = (-lin + np.sqrt(disc)) / (2.0 * quad)
+        root = np.where(const >= -SNAKE_EPS, 0.0, root)
+        # Python's max(root, length) keeps root unless length is larger.
+        snaked = np.where(modelled, np.where(length > root, length, root), 0.0)
+        e_a = np.where(snake_a, snaked, e_a)
+        e_b = np.where(snake_b, snaked, e_b)
+
+    edge_delay_a = _edge_delay(ia, ra, e_a, cap_a, delay_a, r, c)
+    edge_delay_b = _edge_delay(ib, rb, e_b, cap_b, delay_b, r, c)
     if cell_a is not None:
         presented_a = np.full_like(e_a, cell_a.input_cap)
     else:
@@ -245,17 +267,18 @@ def batch_zero_skew_split(
         degenerate=degenerate,
         snake_a=snake_a,
         snake_b=snake_b,
+        modelled=modelled,
     )
 
 
-def out_of_range_lanes(split: BatchSplit) -> list:
-    """Lane indices the batch split could not model (snaking sides).
+def fallback_lanes(split: BatchSplit) -> list:
+    """Lane indices the batch split could not model.
 
     Scalar counterpart: none -- mask bookkeeping over
-    :class:`BatchSplit`; the snaking lanes themselves are re-evaluated
-    by the scalar ``zero_skew_split``.
+    :class:`BatchSplit`; the lanes themselves are re-evaluated by the
+    scalar ``zero_skew_split``.
     """
-    return np.nonzero(~split.in_range)[0].tolist()
+    return np.nonzero(~split.modelled)[0].tolist()
 
 
 class NodeArrays:

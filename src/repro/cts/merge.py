@@ -43,9 +43,14 @@ _EPS = 1e-12
 DEGENERATE_DEN_EPS = _EPS
 DEGENERATE_SKEW_EPS = 1e-12
 
+#: Tolerance of :func:`_snake_length`'s branches, shared with the
+#: vectorized snaked lanes of :mod:`repro.cts.kernels`.
+SNAKE_EPS = _EPS
+
 __all__ = [
     "DEGENERATE_DEN_EPS",
     "DEGENERATE_SKEW_EPS",
+    "SNAKE_EPS",
     "SkewBalanceError",
     "SplitResult",
     "Tap",

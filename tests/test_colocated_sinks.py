@@ -54,13 +54,18 @@ class TestKernelParityAtZeroDistance:
         assert batch.delay[0] == scalar.delay
 
     def test_unequal_delays_classified_as_snake(self):
-        # b is slower: the scalar path snakes a; the kernel must flag
-        # the lane for scalar fallback rather than fake a number.
+        # b is slower: the scalar path snakes a; the kernel classifies
+        # the lane as snaking and models it at parity (no fallback).
         tech = date98_technology()
         scalar, batch = _lane(tech, 1.0, 1.0, 1.0, 9.0)
         assert scalar.snaked == "a"
         assert bool(batch.snake_a[0])
         assert not batch.in_range[0]
+        assert bool(batch.modelled[0])
+        assert batch.length_a[0] == scalar.length_a > 0.0
+        assert batch.length_b[0] == scalar.length_b == 0.0
+        assert batch.delay[0] == scalar.delay
+        assert batch.merged_cap[0] == scalar.merged_cap
 
     def test_unit_technology_lane_agrees(self):
         tech = unit_technology()

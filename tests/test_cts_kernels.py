@@ -11,6 +11,8 @@ Two layers of defence:
   assert byte-identical ``merge_trace`` and wirelength.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,7 +37,7 @@ from repro.cts.merge import Tap, zero_skew_split
 from repro.geometry.point import Point
 from repro.geometry.trr import Trr
 from repro.obs import MetricsRegistry, set_registry
-from repro.tech import unit_technology
+from repro.tech import date98_technology, unit_technology
 
 NUM_MODULES = 6  # paper_example_isa()
 
@@ -44,6 +46,10 @@ extents = st.floats(min_value=0.0, max_value=200.0, allow_nan=False)
 caps = st.floats(min_value=0.0, max_value=100.0, allow_nan=False)
 delays = st.floats(min_value=0.0, max_value=1000.0, allow_nan=False)
 lengths = st.floats(min_value=0.0, max_value=1000.0, allow_nan=False)
+# Delays up to 1e6 push most lanes out of range, onto the snaking path.
+skewed_delays = st.one_of(
+    delays, st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
+)
 
 
 @st.composite
@@ -163,6 +169,8 @@ class TestBatchSplitParity:
         assert bool(split.snake_b[2])  # a slower: snake b
 
     def test_out_of_range_lanes_listed(self):
+        # The out-of-range lane is still classified as snaking, but it
+        # is modelled and at parity: nothing is left to the scalar plan.
         tech = unit_technology()
         r, c = tech.unit_wire_resistance, tech.unit_wire_capacitance
         split = kernels.batch_zero_skew_split(
@@ -174,7 +182,97 @@ class TestBatchSplitParity:
             r,
             c,
         )
-        assert kernels.out_of_range_lanes(split) == [1]
+        assert np.nonzero(~split.in_range)[0].tolist() == [1]
+        assert bool(split.snake_a[1])
+        assert split.modelled.all()
+        assert kernels.fallback_lanes(split) == []
+        for j, delay_b in enumerate((0.0, 1e6)):
+            scalar = zero_skew_split(
+                10.0, Tap(cap=1.0, delay=0.0), Tap(cap=1.0, delay=delay_b), tech
+            )
+            assert_lane_equal(split, j, scalar)
+        assert split.length_a[1] > 10.0  # snaked beyond the distance
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        tech=st.sampled_from([unit_technology(), date98_technology()]),
+        cells=st.sampled_from(["none", "gate", "buffer"]),
+        length=st.one_of(st.just(0.0), lengths),
+        query=st.tuples(st.one_of(st.just(0.0), caps), delays),
+        sides=st.lists(
+            st.tuples(st.one_of(st.just(0.0), caps), skewed_delays),
+            min_size=1,
+            max_size=8,
+        ),
+        query_on_a=st.booleans(),
+    )
+    def test_every_lane_bit_identical(
+        self, tech, cells, length, query, sides, query_on_a
+    ):
+        # Snaked or not, in either orientation, every lane equals the
+        # scalar split on every field the cost kernels read.
+        cell = {"none": None, "gate": tech.masking_gate, "buffer": tech.buffer}[
+            cells
+        ]
+        n = len(sides)
+        arr = (np.array([s[0] for s in sides]), np.array([s[1] for s in sides]))
+        a_side, b_side = (query, arr) if query_on_a else (arr, query)
+        split = kernels.batch_zero_skew_split(
+            np.full(n, length),
+            *a_side,
+            *b_side,
+            tech.unit_wire_resistance,
+            tech.unit_wire_capacitance,
+            cell_a=cell,
+            cell_b=cell,
+        )
+        assert split.modelled.all()
+        tap_q = Tap(cap=query[0], delay=query[1], cell=cell)
+        for j, (cap, delay) in enumerate(sides):
+            tap_o = Tap(cap=cap, delay=delay, cell=cell)
+            tap_a, tap_b = (tap_q, tap_o) if query_on_a else (tap_o, tap_q)
+            scalar = zero_skew_split(length, tap_a, tap_b, tech)
+            assert bool(split.snake_a[j]) == (scalar.snaked == "a")
+            assert bool(split.snake_b[j]) == (scalar.snaked == "b")
+            assert_lane_equal(split, j, scalar)
+
+    def test_degenerate_snaked_lanes_at_parity(self):
+        # Zero distance and unloaded subtrees: the degenerate branch
+        # forces both snaking directions; each lane still equals the
+        # scalar split.
+        tech = unit_technology()
+        delays_b = (5.0, 9.0, 1.0)  # equal / b slower / a slower
+        split = kernels.batch_zero_skew_split(
+            np.zeros(3),
+            0.0,
+            5.0,
+            np.zeros(3),
+            np.array(delays_b),
+            tech.unit_wire_resistance,
+            tech.unit_wire_capacitance,
+        )
+        assert split.degenerate.all() and split.modelled.all()
+        for j, delay_b in enumerate(delays_b):
+            scalar = zero_skew_split(
+                0.0, Tap(cap=0.0, delay=5.0), Tap(cap=0.0, delay=delay_b), tech
+            )
+            assert_lane_equal(split, j, scalar)
+
+    def test_negligible_wire_rc_left_to_scalar(self):
+        # quad = r c / 2 <= EPS: the scalar snake takes its linear
+        # special case, which the kernel leaves to the scalar plan.
+        tech = low_rc_technology()
+        split = kernels.batch_zero_skew_split(
+            np.array([10.0, 10.0]),
+            1.0,
+            0.0,
+            np.array([1.0, 1.0]),
+            np.array([0.0, 1e3]),
+            tech.unit_wire_resistance,
+            tech.unit_wire_capacitance,
+        )
+        assert kernels.fallback_lanes(split) == [1]
+        assert bool(split.modelled[0]) and bool(split.snake_a[1])
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -265,6 +363,24 @@ class TestBatchSplitParity:
                 assert split.merged_cap[j] == scalar.merged_cap
 
 
+def assert_lane_equal(split, j, scalar):
+    """Lane ``j`` of a batch split equals the scalar split exactly."""
+    assert split.length_a[j] == scalar.length_a
+    assert split.length_b[j] == scalar.length_b
+    assert split.delay[j] == scalar.delay
+    assert split.presented_a[j] == scalar.presented_a
+    assert split.presented_b[j] == scalar.presented_b
+    assert split.merged_cap[j] == scalar.merged_cap
+
+
+def low_rc_technology():
+    """Unit constants with wire RC so small that ``r c / 2 <= EPS``."""
+    tech = unit_technology()
+    return dataclasses.replace(
+        tech, unit_wire_resistance=1e-7, unit_wire_capacitance=1e-7
+    )
+
+
 class TestNodeArrays:
     def test_grow_preserves_rows(self):
         arrays = kernels.NodeArrays(2)
@@ -317,8 +433,7 @@ def total_split_length_cost(plan, merger):
     return plan.split.total_length
 
 
-def _tsl_batch_cost(merger, nid, others, distance, split, swapped=False):
-    # The split arrives already oriented, and its total is symmetric.
+def _tsl_batch_cost(merger, a_ids, b_ids, distance, split):
     return split.length_a + split.length_b
 
 
@@ -385,6 +500,21 @@ def wide_isa_oracle(num_instructions, seed=0):
     isa = InstructionSet.from_usage_lists(usage, num_modules=NUM_MODULES)
     ids = rng.integers(0, num_instructions, 2000)
     return ActivityOracle(ActivityTables.from_stream(isa, InstructionStream(ids=ids)))
+
+
+@pytest.fixture
+def snaked_lanes(monkeypatch):
+    """Snaked lanes per batched split, recorded for the rest of the test."""
+    counts = []
+    split_kernel = kernels.batch_zero_skew_split
+
+    def spy(*args, **kwargs):
+        split = split_kernel(*args, **kwargs)
+        counts.append(int((split.snake_a | split.snake_b).sum()))
+        return split
+
+    monkeypatch.setattr(kernels, "batch_zero_skew_split", spy)
+    return counts
 
 
 class TestVectorizeTraceParity:
@@ -516,9 +646,10 @@ class TestVectorizeTraceParity:
         assert trace_v == trace_s and wl_v == wl_s
 
     @pytest.mark.parametrize("limit", [None, 5])
-    def test_split_dependent_cost_with_snakes(self, limit):
-        # Wildly uneven sink loads force snaked splits: the screen must
-        # hand those lanes back to the scalar plan() and still match.
+    def test_split_dependent_cost_with_snakes(self, limit, snaked_lanes):
+        # Wildly uneven sink loads force snaked splits: the split
+        # kernel models those lanes, so none reaches the scalar plan(),
+        # and the run still matches the scalar merger.
         sinks = make_sinks(36, seed=37, cap_spread=400.0)
         vec, trace_v, wl_v = run_config(
             sinks, True, cost=total_split_length_cost, candidate_limit=limit
@@ -527,9 +658,66 @@ class TestVectorizeTraceParity:
             sinks, False, cost=total_split_length_cost, candidate_limit=limit
         )
         assert vec._exact_screen and vec._batch_cost_needs_split
-        assert vec.stats.kernel_scalar_fallbacks > 0
+        assert vec.stats.kernel_scalar_fallbacks == 0
+        assert sum(snaked_lanes) > 0
         assert trace_v == trace_s
         assert wl_v == wl_s
+
+    @pytest.mark.parametrize("limit", [None, 5, 16])
+    @pytest.mark.parametrize(
+        "cost",
+        [incremental_switched_capacitance_cost, switched_capacitance_cost],
+        ids=["incremental", "eq3"],
+    )
+    def test_gated_snake_heavy(self, oracle, cost, limit, snaked_lanes):
+        # The gated objective on snake-heavy sinks: every snaked lane
+        # is screened by the kernel, at parity with the scalar merger.
+        sinks = make_sinks(40, seed=44, cap_spread=400.0)
+        common = dict(
+            cost=cost,
+            cell_policy=GateEveryEdgePolicy(),
+            oracle=oracle,
+            controller_point=Point(0.0, 0.0),
+            candidate_limit=limit,
+        )
+        vec, trace_v, wl_v = run_config(sinks, True, **common)
+        scalar, trace_s, wl_s = run_config(sinks, False, **common)
+        assert vec._exact_screen
+        assert vec.stats.kernel_scalar_fallbacks == 0
+        assert sum(snaked_lanes) > 0
+        assert trace_v == trace_s and wl_v == wl_s
+        assert vec.stats.heap_pops == scalar.stats.heap_pops
+        assert vec.stats.orphan_recomputes == scalar.stats.orphan_recomputes
+
+    @pytest.mark.parametrize("limit", [None, 5, 16])
+    def test_buffered_snake_heavy(self, limit):
+        sinks = make_sinks(40, seed=45, cap_spread=400.0)
+        common = dict(
+            cost=nearest_neighbor_cost,
+            cell_policy=BufferEveryEdgePolicy(),
+            candidate_limit=limit,
+        )
+        vec, trace_v, wl_v = run_config(sinks, True, **common)
+        _, trace_s, wl_s = run_config(sinks, False, **common)
+        assert vec._exact_screen
+        assert trace_v == trace_s and wl_v == wl_s
+
+    def test_negligible_wire_rc_reaches_scalar_plan(self):
+        # Snaked lanes of a technology with r c / 2 <= EPS are left to
+        # the scalar plan() and counted; the trace still matches.
+        sinks = make_sinks(24, seed=46, cap_spread=400.0)
+        tech = low_rc_technology()
+        runs = []
+        for vectorize in (True, False):
+            merger = BottomUpMerger(
+                sinks, tech, cost=total_split_length_cost, vectorize=vectorize
+            )
+            tree = merger.run()
+            runs.append((merger, merger.merge_trace, tree.total_wirelength()))
+        (vec, trace_v, wl_v), (_, trace_s, wl_s) = runs
+        assert vec._exact_screen
+        assert vec.stats.kernel_scalar_fallbacks > 0
+        assert trace_v == trace_s and wl_v == wl_s
 
     def test_embedded_locations_identical(self):
         sinks = make_sinks(24, seed=38)
@@ -539,6 +727,68 @@ class TestVectorizeTraceParity:
             lv = m_v.tree.node(nid).location
             ls = m_s.tree.node(nid).location
             assert (lv.x, lv.y) == (ls.x, ls.y)
+
+
+class _FrontierParityMerger(BottomUpMerger):
+    """Test-only merger: after every merge, each orphan the batched
+    repair recomputed is recomputed again, one at a time, through the
+    scalar candidate scan and scalar ``plan()``, and the two best
+    pairs must be equal ``(cost, partner)`` for ``(cost, partner)``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.checked = 0
+        self.largest_frontier = 0
+
+    def _scalar_best(self, nid):
+        scored = [
+            (self.cost(self.plan(nid, other), self), other)
+            for other in self._candidates_for(nid)
+        ]
+        return min(scored) if scored else None
+
+    def _repair_orphans(self, orphans):
+        stale = [
+            o
+            for o in orphans
+            if o not in self._best or self._best[o][1] not in self._active
+        ]
+        super()._repair_orphans(orphans)
+        self.largest_frontier = max(self.largest_frontier, len(stale))
+        for orphan in stale:
+            expected = self._scalar_best(orphan)
+            got = self._best.get(orphan)
+            assert (got and got[:2]) == expected, (orphan, got, expected)
+            self.checked += 1
+
+
+class TestFrontierParity:
+    """One batched screen over the merge frontier decides exactly what
+    per-orphan scalar recomputes decide."""
+
+    @pytest.mark.parametrize("limit", [4, 16])
+    @pytest.mark.parametrize(
+        "cost",
+        [incremental_switched_capacitance_cost, switched_capacitance_cost],
+        ids=["incremental", "eq3"],
+    )
+    def test_batched_repair_matches_scalar(self, oracle, cost, limit):
+        sinks = make_sinks(64, seed=47, cap_spread=400.0)
+        common = dict(
+            cost=cost,
+            cell_policy=GateEveryEdgePolicy(),
+            oracle=oracle,
+            controller_point=Point(0.0, 0.0),
+            candidate_limit=limit,
+        )
+        merger = _FrontierParityMerger(sinks, unit_technology(), **common)
+        merger.run()
+        _, trace_s, wl_s = run_config(sinks, False, **common)
+        assert merger._exact_screen
+        assert merger.checked > 0
+        assert merger.largest_frontier >= 2  # the batch spans orphans
+        assert merger.merge_trace == trace_s
+        assert merger.tree.total_wirelength() == wl_s
 
 
 class TestKernelAccounting:
